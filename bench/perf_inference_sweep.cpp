@@ -22,7 +22,8 @@ using namespace gpufreq;
 
 namespace {
 
-constexpr std::size_t kSweepRows = 61;  // GA100 used-frequency count
+constexpr std::size_t kSweepRows = 61;   // GA100 used-frequency count
+constexpr std::size_t kDrainItems = 128;  // SweepService default max_batch
 
 // Paper models with both the fp32 and int8 inference packs prepared, so
 // every backend x precision row sweeps the same trained weights.
@@ -44,27 +45,42 @@ nn::Matrix random_batch(std::size_t rows, std::size_t cols) {
 }
 
 // Forward pass of the paper architecture (3 -> 64 SELU x3 -> 1 linear)
-// over the sweep batch; third argument: 0 = unfused fallback, 1 = fused
+// over a `rows`-row batch; third argument: 0 = unfused fallback, 1 = fused
 // over packed weights (the int8 path only exists fused, so the unfused
 // row is fp32-only).
-void BM_NetworkForward(benchmark::State& state) {
+void network_forward(benchmark::State& state, std::size_t rows) {
   const auto sel = bench::select_axes(state);
   if (!sel) return;
   nn::Network net(3, nn::Network::paper_architecture(), /*seed=*/123);
   const bool fused = state.range(2) != 0;
   if (fused) net.prepare_inference(sel->precision);
-  const nn::Matrix x = random_batch(kSweepRows, 3);
+  const nn::Matrix x = random_batch(rows, 3);
   nn::InferenceWorkspace ws;
   for (auto _ : state) {
     const nn::Matrix& y = net.predict_into(x, ws, sel->precision);
     benchmark::DoNotOptimize(y.flat().data());
     benchmark::ClobberMemory();
   }
-  state.counters["rows"] = static_cast<double>(kSweepRows);
+  state.counters["rows"] = static_cast<double>(rows);
   state.counters["fused"] = fused ? 1.0 : 0.0;
   bench::reset_backend();
 }
+
+// One 61-row sweep batch.
+void BM_NetworkForward(benchmark::State& state) { network_forward(state, kSweepRows); }
 BENCHMARK(BM_NetworkForward)
+    ->Args({0, 0, 0})->Args({0, 0, 1})->Args({0, 1, 1})
+    ->Args({1, 0, 0})->Args({1, 0, 1})->Args({1, 1, 1})
+    ->Args({2, 0, 0})->Args({2, 0, 1})->Args({2, 1, 1})
+    ->Unit(benchmark::kMicrosecond);
+
+// The capacity-drain shape: a full 128-item drain of 61-row sweeps run as
+// one 7808-row batch, where each layer's rows x 64 output no longer fits
+// in L2.
+void BM_NetworkForwardDrain(benchmark::State& state) {
+  network_forward(state, kDrainItems * kSweepRows);
+}
+BENCHMARK(BM_NetworkForwardDrain)
     ->Args({0, 0, 0})->Args({0, 0, 1})->Args({0, 1, 1})
     ->Args({1, 0, 0})->Args({1, 0, 1})->Args({1, 1, 1})
     ->Args({2, 0, 0})->Args({2, 0, 1})->Args({2, 1, 1})

@@ -34,7 +34,7 @@ struct ModelConfig {
 class DnnModel {
  public:
   /// Reusable scratch for predict_into: the standardized input matrix plus
-  /// the network's ping-pong activation buffers. Grows to the model's
+  /// the network's inference workspace. Grows to the model's
   /// shapes on first use, then steady-state predictions allocate nothing.
   /// One per thread; a single workspace serves both the power and time
   /// models if they are called sequentially.

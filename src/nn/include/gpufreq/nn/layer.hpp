@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -38,22 +39,21 @@ class DenseLayer {
   /// backward() — Network::train_step guarantees this for its batch.
   void forward(const Matrix& x, Matrix& out);
 
-  /// Inference-only forward (no caching). When the layer is prepared
-  /// (prepare_inference), this runs the fused dense_bias_act kernel over
-  /// the packed weights — bias add and activation happen in the GEMM
-  /// epilogue and `out` is the only matrix written. Otherwise it falls
-  /// back to gemm + bias + in-place activation using `out` as the only
-  /// scratch.
-  void forward_inference(const Matrix& x, Matrix& out) const;
+  /// Fused inference forward over `rows` contiguous rows (no caching):
+  /// y = act(x * W + b) through the active backend's dense_bias_act over
+  /// the packed weights, with the bias add and activation in the GEMM
+  /// epilogue. `x` is rows x in_dim and `y` rows x out_dim, both dense
+  /// row-major. Requires inference_prepared(). Rows are independent, so
+  /// disjoint row ranges may run concurrently.
+  void forward_rows(const float* x, float* y, std::size_t rows) const;
 
-  /// Int8 inference forward: quantize the batch rows into the caller's
-  /// scratch (`q` int16 carriers, `scales` per-row), then run the fused
-  /// int8 kernel over the quantized pack. Requires
-  /// inference_prepared(Precision::kInt8); inputs must be finite (int8
-  /// cannot carry NaN — the fp32 path owns NaN semantics).
-  void forward_inference_i8(const Matrix& x, Matrix& out,
-                            std::vector<std::int16_t>& q,
-                            std::vector<float>& scales) const;
+  /// Int8 counterpart of forward_rows: quantize the rows into the caller's
+  /// scratch (`q`: rows x quantized_kpad() int16 carriers, `scales`: one
+  /// per row), then run the fused int8 kernel over the quantized pack.
+  /// Requires inference_prepared(Precision::kInt8); inputs must be finite
+  /// (int8 cannot carry NaN — the fp32 path owns NaN semantics).
+  void forward_rows_i8(const float* x, std::int16_t* q, float* scales, float* y,
+                       std::size_t rows) const;
 
   /// Pack the weights for the fused inference kernel. kInt8 builds the
   /// quantized sibling pack IN ADDITION to the fp32 pack (fp32 stays

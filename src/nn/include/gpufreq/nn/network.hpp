@@ -15,22 +15,27 @@ struct LayerSpec {
   Activation activation = Activation::kSelu;
 };
 
-/// Reusable scratch for Network::predict_into: two ping-pong activation
-/// buffers that grow to the widest layer on first use and are then reused
-/// verbatim, so steady-state inference performs no heap allocation. The
-/// int8 path additionally keeps the quantized-activation carriers and
-/// per-row scales here. One workspace serves any number of networks
-/// (buffers are resized per call, capacity only grows); share one per
-/// thread, not across threads.
+/// Reusable scratch for Network::predict_into. A prepared network runs
+/// chunk-major: each 48-row chunk of the batch passes through every layer
+/// before the next chunk starts. The chunk ping-pongs its hidden
+/// activations between two tiles inside its own disjoint region of
+/// `tiles_` (2 x 48 x widest-hidden floats, small enough to stay in L1),
+/// and the last layer writes straight into `out_`, the matrix predict_into
+/// returns. The int8 path keeps its per-chunk quantized carriers and
+/// per-row scales here too. Capacity only grows, so steady-state inference
+/// performs no heap allocation. One workspace serves any number of
+/// networks; share one per thread, not across threads.
 class InferenceWorkspace {
  public:
   InferenceWorkspace() = default;
 
  private:
   friend class Network;
-  Matrix bufs_[2];
-  std::vector<std::int16_t> q_;   // int8 path: quantized rows (int16 carriers)
-  std::vector<float> qscales_;    // int8 path: per-row dequant scales
+  Matrix out_;                   // result: rows x output_dim
+  Matrix tiles_;                 // chunk-disjoint hidden-activation regions
+                                 // (the unprepared fallback's second buffer)
+  std::vector<std::int16_t> q_;  // int8 path: quantized rows (int16 carriers)
+  std::vector<float> qscales_;   // int8 path: per-row dequant scales
 };
 
 /// Standard feedforward neural network (the paper's FNN, §4.3): a stack of
@@ -62,10 +67,12 @@ class Network {
   Matrix predict(const Matrix& x, Precision precision = Precision::kFp32) const;
 
   /// Inference into a caller-owned workspace; the returned reference
-  /// points at one of the workspace buffers and stays valid until the
-  /// workspace is reused. Allocation-free once the workspace has warmed
-  /// up to this network's widest layer (and, for kInt8, its quantization
-  /// scratch).
+  /// points into the workspace and stays valid until the workspace is
+  /// reused. When every layer is prepared (prepare_inference) this is the
+  /// chunk-major fused forward — allocation-free once the workspace has
+  /// grown to the batch (see reserve_workspace) — with each kInt8-prepared
+  /// layer running the int8 kernel under Precision::kInt8. Otherwise every
+  /// layer runs the unfused gemm + bias + activation on the whole batch.
   const Matrix& predict_into(const Matrix& x, InferenceWorkspace& ws,
                              Precision precision = Precision::kFp32) const;
 
@@ -88,7 +95,7 @@ class Network {
   /// Pack every layer's weights for the fused inference kernel (kInt8
   /// additionally builds the quantized sibling packs). Idempotent;
   /// training steps and weight re-initialization invalidate the packs (the
-  /// layers then fall back to the unfused path until re-prepared).
+  /// network then falls back to the unfused path until re-prepared).
   void prepare_inference(Precision precision = Precision::kFp32);
 
   /// True when every layer's fused-inference pack for `precision` is

@@ -112,8 +112,14 @@ void activate_f(Activation act, const float* z, float* out, std::size_t n) {
 }
 
 // 6x16 register tile: 12 accumulators + 2 B lanes in the 16 ymm budget.
+// A partial tile (`live` < kMr rows) re-reads its last live row in the
+// spare rows, whose accumulators the caller never stores; every row's
+// lanes take the same p-ascending FMA chain at any tile height.
 inline void tile_accumulate(const float* a, std::size_t lda, const float* b,
-                            std::size_t ldb, std::size_t k, __m256 acc[kMr][2]) {
+                            std::size_t ldb, std::size_t k, __m256 acc[kMr][2],
+                            std::size_t live = kMr) {
+  std::size_t row_off[kMr];
+  for (std::size_t r = 0; r < kMr; ++r) row_off[r] = std::min(r, live - 1) * lda;
   for (std::size_t r = 0; r < kMr; ++r) {
     acc[r][0] = _mm256_setzero_ps();
     acc[r][1] = _mm256_setzero_ps();
@@ -122,7 +128,7 @@ inline void tile_accumulate(const float* a, std::size_t lda, const float* b,
     const __m256 bl = _mm256_loadu_ps(b + p * ldb);
     const __m256 bh = _mm256_loadu_ps(b + p * ldb + 8);
     for (std::size_t r = 0; r < kMr; ++r) {
-      const __m256 av = _mm256_broadcast_ss(a + r * lda + p);
+      const __m256 av = _mm256_broadcast_ss(a + row_off[r] + p);
       acc[r][0] = _mm256_fmadd_ps(av, bl, acc[r][0]);
       acc[r][1] = _mm256_fmadd_ps(av, bh, acc[r][1]);
     }
@@ -250,17 +256,13 @@ void dense_bias_act_f(const float* x, const PackedWeights& w, const float* bias,
         bias_act_store(act, acc[r][0], acc[r][1], bias + j0, y + (i + r) * n + j0, jn);
       }
     }
-    // Row tail: one row per iteration, same p-ascending order.
-    for (; i < hi; ++i) {
-      __m256 al = _mm256_setzero_ps();
-      __m256 ah = _mm256_setzero_ps();
-      const float* xi = x + i * k;
-      for (std::size_t q = 0; q < k; ++q) {
-        const __m256 xv = _mm256_broadcast_ss(xi + q);
-        al = _mm256_fmadd_ps(xv, _mm256_loadu_ps(B + q * kPanelWidth), al);
-        ah = _mm256_fmadd_ps(xv, _mm256_loadu_ps(B + q * kPanelWidth + 8), ah);
+    // Row tail: one partial tile, same p-ascending order.
+    if (i < hi) {
+      const std::size_t live = hi - i;
+      tile_accumulate(x + i * k, k, B, kPanelWidth, k, acc, live);
+      for (std::size_t r = 0; r < live; ++r) {
+        bias_act_store(act, acc[r][0], acc[r][1], bias + j0, y + (i + r) * n + j0, jn);
       }
-      bias_act_store(act, al, ah, bias + j0, y + i * n + j0, jn);
     }
   }
 }

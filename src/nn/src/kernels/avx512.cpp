@@ -273,80 +273,83 @@ inline void bias_act_store(Activation act, __m512 acc, __m512 biasv, float* y,
   act_store(act, _mm512_add_ps(acc, biasv), y, msk, jn);
 }
 
+// One register tile of the fused layer: `live` (1..kMr) rows of x against
+// kPanels (1 or 2) packed panels, kMr x kPanels accumulators. Each row's
+// lanes take the same q-ascending FMA chain whatever the tile height, so
+// a full tile, a partial one and a single row give identical bits. Tile
+// rows at or past `live` re-read the last live row (keeping every load
+// inside the band) and are never stored.
+template <std::size_t kPanels>
+inline void dense_tile(const float* x, std::size_t k, std::size_t live,
+                       const float* const B[kPanels], const __m512 biasv[kPanels],
+                       const __mmask16 msk[kPanels], const std::size_t jn[kPanels],
+                       Activation act, float* y, std::size_t n) {
+  std::size_t row_off[kMr];
+  for (std::size_t r = 0; r < kMr; ++r) row_off[r] = std::min(r, live - 1) * k;
+  __m512 acc[kMr][kPanels];
+  for (std::size_t r = 0; r < kMr; ++r) {
+    for (std::size_t c = 0; c < kPanels; ++c) acc[r][c] = _mm512_setzero_ps();
+  }
+  for (std::size_t q = 0; q < k; ++q) {
+    __m512 b[kPanels];
+    for (std::size_t c = 0; c < kPanels; ++c) b[c] = _mm512_loadu_ps(B[c] + q * kPanelWidth);
+    for (std::size_t r = 0; r < kMr; ++r) {
+      const __m512 xv = _mm512_set1_ps(x[row_off[r] + q]);
+      for (std::size_t c = 0; c < kPanels; ++c) {
+        acc[r][c] = _mm512_fmadd_ps(xv, b[c], acc[r][c]);
+      }
+    }
+  }
+  for (std::size_t r = 0; r < live; ++r) {
+    for (std::size_t c = 0; c < kPanels; ++c) {
+      bias_act_store(act, acc[r][c], biasv[c], y + r * n + c * kPanelWidth, msk[c], jn[c]);
+    }
+  }
+}
+
+// Rows [lo, hi) against panels [p, p + kPanels): full kMr-row tiles, then
+// the row tail as one partial tile.
+template <std::size_t kPanels>
+inline void dense_panels(const float* x, const PackedWeights& w, const float* bias,
+                         Activation act, float* y, std::size_t lo, std::size_t hi,
+                         std::size_t p) {
+  const std::size_t k = w.rows();
+  const std::size_t n = w.cols();
+  const std::size_t j0 = p * kPanelWidth;
+  const float* B[kPanels];
+  __m512 biasv[kPanels];
+  __mmask16 msk[kPanels];
+  std::size_t jn[kPanels];
+  for (std::size_t c = 0; c < kPanels; ++c) {
+    // Panel data is zero-padded, so weight loads are always full zmm; only
+    // the bias load and the y stores of a ragged last panel need a mask.
+    const std::size_t jc = j0 + c * kPanelWidth;
+    jn[c] = std::min(kPanelWidth, n - jc);
+    msk[c] = mask_for(jn[c]);
+    B[c] = w.panel(p + c);
+    biasv[c] = _mm512_maskz_loadu_ps(msk[c], bias + jc);
+  }
+  std::size_t i = lo;
+  for (; i + kMr <= hi; i += kMr) {
+    dense_tile<kPanels>(x + i * k, k, kMr, B, biasv, msk, jn, act, y + i * n + j0, n);
+  }
+  if (i < hi) {
+    dense_tile<kPanels>(x + i * k, k, hi - i, B, biasv, msk, jn, act, y + i * n + j0, n);
+  }
+}
+
 void dense_bias_act_f(const float* x, const PackedWeights& w, const float* bias,
                       Activation act, float* y, std::size_t lo, std::size_t hi) {
   GPUFREQ_HOT("gpufreq::nn::kernels::(anonymous namespace)::dense_bias_act_f");
-  const std::size_t k = w.rows();
-  const std::size_t n = w.cols();
   const std::size_t panels = w.panel_count();
   std::size_t p = 0;
-  // Panel pairs: a 32-wide column tile. Panel data is zero-padded so
-  // weight loads are always full zmm; only the y stores of the LAST panel
-  // need a mask. Each broadcast of x feeds both panels' FMA chains.
-  for (; p + 2 <= panels; p += 2) {
-    const std::size_t j0 = p * kPanelWidth;
-    const std::size_t jn1 = std::min(kPanelWidth, n - j0 - kPanelWidth);
-    const __mmask16 full = mask_for(kPanelWidth);
-    const __mmask16 m1 = mask_for(jn1);
-    const float* B0 = w.panel(p);
-    const float* B1 = w.panel(p + 1);
-    const __m512 bias0 = _mm512_maskz_loadu_ps(full, bias + j0);
-    const __m512 bias1 = _mm512_maskz_loadu_ps(m1, bias + j0 + kPanelWidth);
-    std::size_t i = lo;
-    __m512 acc[kMr][2];
-    for (; i + kMr <= hi; i += kMr) {
-      for (std::size_t r = 0; r < kMr; ++r) {
-        acc[r][0] = _mm512_setzero_ps();
-        acc[r][1] = _mm512_setzero_ps();
-      }
-      const float* xi = x + i * k;
-      for (std::size_t q = 0; q < k; ++q) {
-        const __m512 b0 = _mm512_loadu_ps(B0 + q * kPanelWidth);
-        const __m512 b1 = _mm512_loadu_ps(B1 + q * kPanelWidth);
-        for (std::size_t r = 0; r < kMr; ++r) {
-          const __m512 xv = _mm512_set1_ps(xi[r * k + q]);
-          acc[r][0] = _mm512_fmadd_ps(xv, b0, acc[r][0]);
-          acc[r][1] = _mm512_fmadd_ps(xv, b1, acc[r][1]);
-        }
-      }
-      for (std::size_t r = 0; r < kMr; ++r) {
-        float* yr = y + (i + r) * n + j0;
-        bias_act_store(act, acc[r][0], bias0, yr, full, kPanelWidth);
-        bias_act_store(act, acc[r][1], bias1, yr + kPanelWidth, m1, jn1);
-      }
-    }
-    // Row tail: one row per iteration, same q-ascending order.
-    for (; i < hi; ++i) {
-      __m512 a0 = _mm512_setzero_ps();
-      __m512 a1 = _mm512_setzero_ps();
-      const float* xi = x + i * k;
-      for (std::size_t q = 0; q < k; ++q) {
-        const __m512 xv = _mm512_set1_ps(xi[q]);
-        a0 = _mm512_fmadd_ps(xv, _mm512_loadu_ps(B0 + q * kPanelWidth), a0);
-        a1 = _mm512_fmadd_ps(xv, _mm512_loadu_ps(B1 + q * kPanelWidth), a1);
-      }
-      float* yr = y + i * n + j0;
-      bias_act_store(act, a0, bias0, yr, full, kPanelWidth);
-      bias_act_store(act, a1, bias1, yr + kPanelWidth, m1, jn1);
-    }
-  }
-  // Odd final panel: single 16-wide tile with a masked store.
-  if (p < panels) {
-    const std::size_t j0 = p * kPanelWidth;
-    const std::size_t jn = std::min(kPanelWidth, n - j0);
-    const __mmask16 msk = mask_for(jn);
-    const float* B = w.panel(p);
-    const __m512 biasv = _mm512_maskz_loadu_ps(msk, bias + j0);
-    for (std::size_t i = lo; i < hi; ++i) {
-      __m512 a0 = _mm512_setzero_ps();
-      const float* xi = x + i * k;
-      for (std::size_t q = 0; q < k; ++q) {
-        a0 = _mm512_fmadd_ps(_mm512_set1_ps(xi[q]), _mm512_loadu_ps(B + q * kPanelWidth),
-                             a0);
-      }
-      bias_act_store(act, a0, biasv, y + i * n + j0, msk, jn);
-    }
-  }
+  // Panel pairs: a 32-wide column tile, each broadcast of x feeding both
+  // panels' FMA chains.
+  for (; p + 2 <= panels; p += 2) dense_panels<2>(x, w, bias, act, y, lo, hi, p);
+  // Odd final panel (e.g. the 64 -> 1 output layer): the same 8-row tile
+  // on one panel, so eight independent FMA chains hide the FMA latency
+  // that a row-at-a-time k-deep chain would expose.
+  if (p < panels) dense_panels<1>(x, w, bias, act, y, lo, hi, p);
 }
 
 void quantize_rows_i8_f(const float* x, std::size_t k, std::int16_t* q,

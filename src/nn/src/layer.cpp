@@ -1,10 +1,10 @@
 #include "gpufreq/nn/layer.hpp"
 
+#include <span>
+
 #include "gpufreq/nn/kernels/kernel_table.hpp"
 #include "gpufreq/util/error.hpp"
 #include "gpufreq/util/hot_path.hpp"
-#include "gpufreq/util/thread_pool.hpp"
-#include "gpufreq/util/workspace.hpp"
 
 namespace gpufreq::nn {
 
@@ -35,58 +35,24 @@ void DenseLayer::forward(const Matrix& x, Matrix& out) {
   activate(act_, cached_z_.flat(), out.flat());
 }
 
-void DenseLayer::forward_inference(const Matrix& x, Matrix& out) const {
-  GPUFREQ_HOT("gpufreq::nn::DenseLayer::forward_inference");
-  GPUFREQ_REQUIRE(x.cols() == w_.rows(), "DenseLayer::forward_inference: width mismatch");
-  if (packed_.empty()) {
-    // Unfused fallback: `out` doubles as the Z buffer (gemm output, bias
-    // add, then in-place activation), so even this path allocates nothing
-    // beyond `out` itself.
-    gemm(x, w_, out);
-    add_row_vector(out, b_);
-    activate(act_, out.flat(), out.flat());
-    return;
-  }
-  out.resize_uninit(x.rows(), w_.cols());
-  if (x.rows() == 0) return;
-  const kernels::KernelTable& kt = kernels::active();
-  const float* X = x.flat().data();
-  const float* bias = b_.data();
-  float* Y = out.flat().data();
-  // Same 48-row grain as gemm: chunk boundaries depend only on the batch
-  // size, so the fused path is bitwise-stable across thread counts too.
-  parallel_for(0, x.rows(), 48, [&](std::size_t lo, std::size_t hi) {
-    kt.dense_bias_act(X, packed_, bias, act_, Y, lo, hi);
-  });
+void DenseLayer::forward_rows(const float* x, float* y, std::size_t rows) const {
+  GPUFREQ_HOT("gpufreq::nn::DenseLayer::forward_rows");
+  GPUFREQ_REQUIRE(!packed_.empty(), "DenseLayer::forward_rows: weights not packed");
+  kernels::active().dense_bias_act(x, packed_, b_.data(), act_, y, 0, rows);
+  const std::span<const float> out(y, rows * w_.cols());
   GPUFREQ_DCHECK_FINITE(out);
 }
 
-void DenseLayer::forward_inference_i8(const Matrix& x, Matrix& out,
-                                      std::vector<std::int16_t>& q,
-                                      std::vector<float>& scales) const {
-  GPUFREQ_HOT("gpufreq::nn::DenseLayer::forward_inference_i8");
-  GPUFREQ_REQUIRE(x.cols() == w_.rows(), "DenseLayer::forward_inference_i8: width mismatch");
-  GPUFREQ_REQUIRE(!qpacked_.empty(),
-                  "DenseLayer::forward_inference_i8: int8 pack not prepared");
-  const std::size_t rows = x.rows();
-  out.resize_uninit(rows, w_.cols());
-  if (rows == 0) return;
-  const std::size_t kpad = qpacked_.kpad();
-  gpufreq::detail::workspace_resize(q, rows * kpad);
-  gpufreq::detail::workspace_resize(scales, rows);
+void DenseLayer::forward_rows_i8(const float* x, std::int16_t* q, float* scales, float* y,
+                                 std::size_t rows) const {
+  GPUFREQ_HOT("gpufreq::nn::DenseLayer::forward_rows_i8");
+  GPUFREQ_REQUIRE(!qpacked_.empty(), "DenseLayer::forward_rows_i8: int8 pack not prepared");
+  // Quantization and the fused int8 GEMM are both row-local, so the two
+  // stages run back to back over the same rows with no cross-row state.
   const kernels::KernelTable& kt = kernels::active();
-  const float* X = x.flat().data();
-  const float* bias = b_.data();
-  std::int16_t* Q = q.data();
-  float* S = scales.data();
-  float* Y = out.flat().data();
-  // Quantization and the fused int8 GEMM are both row-local, so one band
-  // covers both stages with no cross-chunk dependency; the same 48-row
-  // grain as the fp32 path keeps chunking thread-count independent.
-  parallel_for(0, rows, 48, [&](std::size_t lo, std::size_t hi) {
-    kt.quantize_rows_i8(X, w_.rows(), Q, kpad, S, lo, hi);
-    kt.dense_bias_act_i8(Q, S, qpacked_, bias, act_, Y, lo, hi);
-  });
+  kt.quantize_rows_i8(x, w_.rows(), q, qpacked_.kpad(), scales, 0, rows);
+  kt.dense_bias_act_i8(q, scales, qpacked_, b_.data(), act_, y, 0, rows);
+  const std::span<const float> out(y, rows * w_.cols());
   GPUFREQ_DCHECK_FINITE(out);
 }
 

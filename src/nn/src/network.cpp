@@ -1,7 +1,11 @@
 #include "gpufreq/nn/network.hpp"
 
+#include <algorithm>
+
 #include "gpufreq/util/error.hpp"
 #include "gpufreq/util/hot_path.hpp"
+#include "gpufreq/util/thread_pool.hpp"
+#include "gpufreq/util/workspace.hpp"
 
 namespace gpufreq::nn {
 
@@ -43,6 +47,45 @@ InferenceWorkspace& fallback_workspace() {
   static thread_local InferenceWorkspace ws;
   return ws;
 }
+
+// Rows per chunk of the chunk-major forward: the same 48-row grain gemm
+// uses, a multiple of every backend's register-tile height. Chunk
+// boundaries depend only on the batch size, so results never depend on
+// the thread count.
+constexpr std::size_t kChunkRows = 48;
+
+// Widest hidden (non-final) layer: the row stride of one activation tile.
+std::size_t hidden_width(const std::vector<DenseLayer>& layers) {
+  std::size_t width = 0;
+  for (std::size_t i = 0; i + 1 < layers.size(); ++i) {
+    width = std::max(width, layers[i].out_dim());
+  }
+  return width;
+}
+
+// Grow-only resize: a smaller batch keeps the buffer as it is, so batches
+// of alternating sizes never re-initialize memory.
+template <class T>
+void grow(std::vector<T>& v, std::size_t n) {
+  if (v.size() < n) gpufreq::detail::workspace_resize(v, n);
+}
+
+// Unprepared networks (e.g. training-time evaluate): per layer, gemm, bias
+// add and in-place activation over the whole batch, ping-ponging between
+// `scratch` and `out` so that the last layer lands in `out`.
+const Matrix& predict_unfused(const std::vector<DenseLayer>& layers, const Matrix& x,
+                              Matrix& scratch, Matrix& out) {
+  const Matrix* cur = &x;
+  for (std::size_t i = 0; i < layers.size(); ++i) {
+    const DenseLayer& l = layers[i];
+    Matrix& dst = (layers.size() - 1 - i) % 2 == 0 ? out : scratch;
+    gemm(*cur, l.weights(), dst);
+    add_row_vector(dst, l.bias());
+    activate(l.activation(), dst.flat(), dst.flat());
+    cur = &dst;
+  }
+  return out;
+}
 }  // namespace
 
 const Matrix& Network::predict_into(const Matrix& x, InferenceWorkspace& ws,
@@ -50,22 +93,52 @@ const Matrix& Network::predict_into(const Matrix& x, InferenceWorkspace& ws,
   GPUFREQ_HOT("gpufreq::nn::Network::predict_into");
   GPUFREQ_REQUIRE(!layers_.empty(), "Network::predict: empty network");
   GPUFREQ_REQUIRE(x.rows() > 0, "Network::predict: empty batch");
-  // Ping-pong between the workspace buffers; the input is only ever read,
-  // so no up-front copy of x is needed. Under kInt8 each prepared layer
-  // quantizes its input rows into the workspace carriers and runs the
-  // fused int8 kernel; unprepared layers fall back to fp32.
-  const Matrix* cur = &x;
-  std::size_t w = 0;
-  for (const auto& l : layers_) {
-    if (precision == Precision::kInt8 && l.inference_prepared(Precision::kInt8)) {
-      l.forward_inference_i8(*cur, ws.bufs_[w], ws.q_, ws.qscales_);
-    } else {
-      l.forward_inference(*cur, ws.bufs_[w]);
-    }
-    cur = &ws.bufs_[w];
-    w ^= 1;
+  GPUFREQ_REQUIRE(x.cols() == input_dim(), "Network::predict: input width mismatch");
+  if (!inference_prepared(Precision::kFp32)) {
+    return predict_unfused(layers_, x, ws.tiles_, ws.out_);
   }
-  return *cur;
+
+  const std::size_t rows = x.rows();
+  const std::size_t width = hidden_width(layers_);
+  const bool int8 = precision == Precision::kInt8;
+  std::size_t kpad = 0;  // widest int8 carrier row (0 when no layer runs int8)
+  if (int8) {
+    for (const auto& l : layers_) kpad = std::max(kpad, l.quantized_kpad());
+  }
+  ws.out_.resize_uninit(rows, output_dim());
+  if (ws.tiles_.size() < rows * 2 * width) ws.tiles_.resize_uninit(rows, 2 * width);
+  grow(ws.q_, rows * kpad);
+  grow(ws.qscales_, kpad > 0 ? rows : 0);
+
+  const std::size_t in_dim = input_dim();
+  const std::size_t out_dim = output_dim();
+  const std::size_t last = layers_.size() - 1;
+  const float* X = x.flat().data();
+  float* Y = ws.out_.flat().data();
+  float* tiles = ws.tiles_.flat().data();
+  std::int16_t* Q = ws.q_.data();
+  float* S = ws.qscales_.data();
+  // Depth-first: the chunk's activations stay in its L1-sized region from
+  // layer to layer instead of streaming a rows x width matrix through L2
+  // once per layer. Chunks start on fixed 48-row boundaries and the
+  // kernels are row-local, so each output element sees the same op
+  // sequence as a layer-by-layer pass over the whole batch.
+  parallel_for(0, rows, kChunkRows, [&](std::size_t lo, std::size_t hi) {
+    const std::size_t n = hi - lo;
+    float* const tile[2] = {tiles + lo * 2 * width, tiles + lo * 2 * width + n * width};
+    const float* in = X + lo * in_dim;
+    for (std::size_t i = 0; i <= last; ++i) {
+      const DenseLayer& l = layers_[i];
+      float* out = i == last ? Y + lo * out_dim : tile[i & 1];
+      if (int8 && l.inference_prepared(Precision::kInt8)) {
+        l.forward_rows_i8(in, Q + lo * kpad, S + lo, out, n);
+      } else {
+        l.forward_rows(in, out, n);
+      }
+      in = out;
+    }
+  });
+  return ws.out_;
 }
 
 Matrix Network::predict(const Matrix& x, Precision precision) const {
@@ -89,10 +162,8 @@ void Network::predict_vector_into(const Matrix& x, InferenceWorkspace& ws,
 
 void Network::reserve_workspace(InferenceWorkspace& ws, std::size_t max_rows,
                                 Precision precision) const {
-  std::size_t widest = 0;
-  for (const auto& l : layers_) widest = std::max(widest, l.out_dim());
-  ws.bufs_[0].reserve(max_rows, widest);
-  ws.bufs_[1].reserve(max_rows, widest);
+  ws.out_.reserve(max_rows, output_dim());
+  ws.tiles_.reserve(max_rows, 2 * hidden_width(layers_));
   if (precision == Precision::kInt8) {
     // Widest quantized input across layers: in_dim rounded up to even
     // (the packs may not exist yet, so compute the stride directly).

@@ -359,6 +359,57 @@ TEST(KernelParity, FusedMatchesUnfusedPerBackend) {
   }
 }
 
+TEST(KernelParity, SinglePanelLayerTilesMatchScalar) {
+  // One-panel layers (n <= 16) such as the 64 -> 1 output layer run the
+  // 8-row register tile on avx512; 13 and 21 rows add a ragged partial
+  // tile after the full ones.
+  const KernelTable& sc = detail::scalar_table();
+  const Shape shapes[] = {{8, 64, 1}, {13, 64, 1}, {21, 64, 5}, {13, 7, 5}, {3, 64, 1}};
+  for (const KernelTable* kt : all_available_tables()) {
+    SCOPED_TRACE(kt->name);
+    for (const Shape& s : shapes) {
+      SCOPED_TRACE(::testing::Message() << "rows=" << s.rows << " k=" << s.k << " n=" << s.n);
+      const Matrix x = random_matrix(s.rows, s.k, 91 + s.rows);
+      const Matrix w = random_matrix(s.k, s.n, 97 + s.n);
+      const std::vector<float> bias = random_vec(s.n, 101 + s.k);
+      for (Activation act : {Activation::kLinear, Activation::kSelu, Activation::kTanh}) {
+        expect_close(fused(sc, x, w, bias, act), fused(*kt, x, w, bias, act));
+      }
+    }
+  }
+}
+
+TEST(KernelDeterminism, FusedLayerIsRowLocalBitwise) {
+  // On the hand-vectorized backends a row's result does not depend on
+  // whether it lands in a full register tile, a partial one, or a
+  // single-row call at a shifted base pointer. (The compiler-vectorized
+  // scalar reference may contract its tile and tail loops differently; it
+  // stays bitwise stable because bands always start on a tile boundary.)
+  for (const KernelTable* kt : all_available_tables()) {
+    if (kt == &detail::scalar_table()) continue;
+    SCOPED_TRACE(kt->name);
+    for (std::size_t n : {1, 5, 16, 33, 64}) {
+      SCOPED_TRACE(::testing::Message() << "n=" << n);
+      const std::size_t rows = 21, k = 64;
+      const Matrix x = random_matrix(rows, k, 103 + n);
+      const Matrix w = random_matrix(k, n, 107 + n);
+      const std::vector<float> bias = random_vec(n, 109);
+      PackedWeights packed;
+      packed.pack(w);
+      std::vector<float> whole(rows * n), split(rows * n);
+      kt->dense_bias_act(x.flat().data(), packed, bias.data(), Activation::kSelu, whole.data(),
+                         0, rows);
+      for (std::size_t i = 0; i < rows; ++i) {
+        kt->dense_bias_act(x.flat().data() + i * k, packed, bias.data(), Activation::kSelu,
+                           split.data() + i * n, 0, 1);
+      }
+      for (std::size_t i = 0; i < whole.size(); ++i) {
+        EXPECT_EQ(whole[i], split[i]) << "at index " << i;
+      }
+    }
+  }
+}
+
 TEST(KernelNan, FusedEpiloguePropagatesNan) {
   const std::vector<const KernelTable*> tables = all_available_tables();
   for (const KernelTable* kt : tables) {

@@ -2,10 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <utility>
+#include <vector>
 
+#include "gpufreq/nn/kernels/dispatch.hpp"
+#include "gpufreq/nn/kernels/kernel_table.hpp"
 #include "gpufreq/util/error.hpp"
 #include "gpufreq/util/rng.hpp"
+#include "gpufreq/util/thread_pool.hpp"
 
 namespace gpufreq::nn {
 namespace {
@@ -157,6 +164,130 @@ TEST(Network, TrainStepRejectsMismatchedBatch) {
   net.bind_optimizer(opt);
   Matrix x(3, 2), y(2, 1);
   EXPECT_THROW(net.train_step(x, y, Loss::kMse, opt), InvalidArgument);
+}
+
+// Layer-by-layer reference for the chunk-major forward: every layer runs
+// the backend's fused kernel over the whole batch in one call (quantizing
+// the whole batch first under kInt8), with weights packed here from the
+// layer's own matrix.
+Matrix layer_by_layer(const Network& net, const Matrix& x, const kernels::KernelTable& kt,
+                      Precision precision) {
+  Matrix cur = x;
+  for (std::size_t i = 0; i < net.num_layers(); ++i) {
+    const DenseLayer& l = net.layer(i);
+    const std::size_t rows = cur.rows();
+    Matrix out(rows, l.out_dim());
+    if (precision == Precision::kInt8) {
+      kernels::QuantizedPackedWeights qw;
+      qw.pack(l.weights());
+      std::vector<std::int16_t> q(rows * qw.kpad());
+      std::vector<float> scales(rows);
+      kt.quantize_rows_i8(cur.flat().data(), l.in_dim(), q.data(), qw.kpad(), scales.data(),
+                          0, rows);
+      kt.dense_bias_act_i8(q.data(), scales.data(), qw, l.bias().data(), l.activation(),
+                           out.flat().data(), 0, rows);
+    } else {
+      kernels::PackedWeights pw;
+      pw.pack(l.weights());
+      kt.dense_bias_act(cur.flat().data(), pw, l.bias().data(), l.activation(),
+                        out.flat().data(), 0, rows);
+    }
+    cur = std::move(out);
+  }
+  return cur;
+}
+
+// Index of the first element whose bits differ, or -1.
+long first_mismatch(const Matrix& a, const Matrix& b) {
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (std::bit_cast<std::uint32_t>(a.flat()[i]) != std::bit_cast<std::uint32_t>(b.flat()[i])) {
+      return static_cast<long>(i);
+    }
+  }
+  return -1;
+}
+
+struct ScopedBackend {
+  explicit ScopedBackend(kernels::Backend b) { kernels::set_kernel_backend(b); }
+  ~ScopedBackend() {
+    kernels::set_kernel_backend(kernels::Backend::kAuto);
+    set_num_threads(0);
+  }
+};
+
+TEST(NetworkChunkMajor, MatchesLayerByLayerBitwise) {
+  // Row counts around the 8-row avx512 tile, the 6-row avx2 tile and the
+  // 48-row chunk, the 61-row sweep, two sweeps, and a full 128-item drain.
+  const std::size_t kRows[] = {1, 5, 7, 8, 9, 13, 47, 48, 49, 61, 122, 7808};
+  std::vector<kernels::Backend> backends = {kernels::Backend::kScalar};
+  if (kernels::avx2_available()) backends.push_back(kernels::Backend::kAvx2);
+  if (kernels::avx512_available()) backends.push_back(kernels::Backend::kAvx512);
+  // The paper model, plus ragged widths: an odd input, hidden layers of
+  // different widths (the tile stride is the widest) and a multi-panel
+  // output with a masked tail.
+  Network paper(3, Network::paper_architecture(), 41);
+  Network ragged(7, {{33, Activation::kRelu}, {64, Activation::kTanh}, {17, Activation::kLinear}},
+                 43);
+  for (Network* net : {&paper, &ragged}) {
+    net->prepare_inference(Precision::kInt8);
+    Rng rng(net->input_dim());
+    const Matrix big = make_inputs(7808, net->input_dim(), rng);
+    for (kernels::Backend b : backends) {
+      ScopedBackend guard(b);
+      for (Precision precision : {Precision::kFp32, Precision::kInt8}) {
+        InferenceWorkspace ws;  // reused across every batch size below
+        for (std::size_t rows : kRows) {
+          SCOPED_TRACE(::testing::Message()
+                       << kernels::to_string(b) << " " << to_string(precision)
+                       << " in=" << net->input_dim() << " rows=" << rows);
+          Matrix x(rows, net->input_dim());
+          std::copy_n(big.flat().begin(), x.size(), x.flat().begin());
+          const Matrix ref = layer_by_layer(*net, x, kernels::active(), precision);
+          for (std::size_t threads : {1, 4}) {
+            set_num_threads(threads);
+            const Matrix& y = net->predict_into(x, ws, precision);
+            ASSERT_EQ(y.rows(), rows);
+            ASSERT_EQ(y.cols(), net->output_dim());
+            EXPECT_EQ(first_mismatch(y, ref), -1) << "threads=" << threads;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(NetworkChunkMajor, UnpreparedNetworkRunsUnfusedFallback) {
+  // Without packed weights every layer runs gemm + bias + activation on
+  // the whole batch: the training-time path evaluate() relies on. Even
+  // and odd layer counts both end in the returned matrix.
+  Network even(3, Network::paper_architecture(), 47);
+  Network odd(3, Network::paper_architecture(2), 53);
+  for (const Network* net : {&even, &odd}) {
+    SCOPED_TRACE(::testing::Message() << net->num_layers() << " layers");
+    Rng rng(9);
+    const Matrix x = make_inputs(61, 3, rng);
+    Matrix cur = x;
+    for (std::size_t i = 0; i < net->num_layers(); ++i) {
+      const DenseLayer& l = net->layer(i);
+      Matrix z;
+      gemm(cur, l.weights(), z);
+      add_row_vector(z, l.bias());
+      activate(l.activation(), z.flat(), z.flat());
+      cur = std::move(z);
+    }
+    ASSERT_FALSE(net->inference_prepared());
+    InferenceWorkspace ws;
+    const Matrix& y = net->predict_into(x, ws);
+    ASSERT_EQ(y.rows(), 61u);
+    ASSERT_EQ(y.cols(), 1u);
+    EXPECT_EQ(first_mismatch(y, cur), -1);
+  }
+}
+
+TEST(Network, PredictRejectsInputWidthMismatch) {
+  Network net(3, Network::paper_architecture(), 5);
+  net.prepare_inference();
+  EXPECT_THROW(net.predict(Matrix(4, 2)), InvalidArgument);
 }
 
 TEST(Network, EmptyNetworkGuards) {

@@ -8,9 +8,11 @@
 #include <atomic>
 #include <cstdlib>
 #include <new>
+#include <span>
 #include <vector>
 
 #include "gpufreq/core/pipeline.hpp"
+#include "gpufreq/nn/network.hpp"
 #include "gpufreq/serve/load_generator.hpp"
 #include "gpufreq/serve/sweep_service.hpp"
 #include "gpufreq/sim/gpu_spec.hpp"
@@ -99,6 +101,74 @@ TEST(ServeAlloc, ReservedWorkspaceFirstBatchIsAllocationFree) {
   EXPECT_EQ(g_allocation_count.load(), 0u)
       << "a reserve_batch_workspace()-sized workspace must serve its first batch "
          "without allocating";
+}
+
+TEST(ServeAlloc, ReservedWorkspaceFirstFullDrainIsAllocationFree) {
+  // A full 128-item drain (7808 rows) through the chunk-major forward, at
+  // both precisions: reserve_batch_workspace must pre-size everything the
+  // first batch touches, the networks' output matrices and chunk tiles
+  // included.
+  const sim::GpuSpec spec = sim::GpuSpec::ga100();
+  const auto catalog = make_catalog(4, spec, 7);
+  const std::vector<double> grid = spec.used_frequencies();
+  std::vector<core::BatchSweepItem> items;
+  for (std::size_t i = 0; i < ServiceConfig{}.max_batch; ++i) {
+    const CatalogEntry& app = catalog[i % catalog.size()];
+    items.push_back({.counters = &app.counters,
+                     .measured_time_at_max_s = app.measured_time_at_max_s,
+                     .frequencies = grid});
+  }
+  for (nn::Precision precision : {nn::Precision::kFp32, nn::Precision::kInt8}) {
+    SCOPED_TRACE(nn::to_string(precision));
+    const auto models = fabricate_models(42, {}, precision);
+    const core::OnlinePredictor predictor(*models, precision);
+    {
+      core::BatchSweepWorkspace warmup;  // process-wide lazy state only
+      predictor.predict_sweep_batch(std::span(items).first(2), spec, warmup);
+    }
+    core::BatchSweepWorkspace ws;
+    predictor.reserve_batch_workspace(ws, items.size(), items.size() * grid.size());
+
+    g_allocation_count.store(0);
+    g_count_allocations.store(true);
+    predictor.predict_sweep_batch(items, spec, ws);
+    g_count_allocations.store(false);
+    EXPECT_EQ(g_allocation_count.load(), 0u)
+        << "the first full drain on a reserved workspace must not allocate";
+  }
+}
+
+TEST(ServeAlloc, ChunkMajorForwardAllocatesOnlyInReserve) {
+  // Network level: reserve_workspace is where the growth happens; a
+  // forward at a new high-water row count, and any smaller or equal one
+  // after it, allocates nothing.
+  const std::size_t kDrainRows = 128 * 61;
+  for (nn::Precision precision : {nn::Precision::kFp32, nn::Precision::kInt8}) {
+    SCOPED_TRACE(nn::to_string(precision));
+    nn::Network net(3, nn::Network::paper_architecture(), 17);
+    net.prepare_inference(precision);
+    const nn::Matrix big(kDrainRows, 3, 0.25f);
+    const nn::Matrix small(61, 3, 0.5f);
+    {
+      nn::InferenceWorkspace warmup;  // process-wide lazy state only
+      (void)net.predict_into(small, warmup, precision);
+    }
+    nn::InferenceWorkspace ws;
+    g_allocation_count.store(0);
+    g_count_allocations.store(true);
+    net.reserve_workspace(ws, kDrainRows, precision);
+    g_count_allocations.store(false);
+    EXPECT_GT(g_allocation_count.load(), 0u) << "reserve_workspace owns the growth";
+
+    g_allocation_count.store(0);
+    g_count_allocations.store(true);
+    (void)net.predict_into(big, ws, precision);    // first call, new high-water mark
+    (void)net.predict_into(small, ws, precision);  // shrink
+    (void)net.predict_into(big, ws, precision);    // grow back
+    g_count_allocations.store(false);
+    EXPECT_EQ(g_allocation_count.load(), 0u)
+        << "a reserved chunk-major forward must not allocate at any row count";
+  }
 }
 
 TEST(ServeAlloc, SteadyStateServiceDrainIsAllocationFree) {
