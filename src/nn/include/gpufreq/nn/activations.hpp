@@ -29,14 +29,12 @@ Activation activation_from_string(const std::string& name);
 /// y = act(x), elementwise.
 float activate(Activation act, float x);
 
-/// d act(x) / dx given the pre-activation x.
+/// d act(x) / dx given the pre-activation x. (Backprop takes the fused
+/// vector form, kernels::KernelTable::activate_backward.)
 float activate_derivative(Activation act, float x);
 
 /// Vectorized in-place application: out[i] = act(z[i]).
 void activate(Activation act, std::span<const float> z, std::span<float> out);
-
-/// Vectorized derivative w.r.t. pre-activations: out[i] = act'(z[i]).
-void activate_derivative(Activation act, std::span<const float> z, std::span<float> out);
 
 /// LeCun-normal initialization stddev for a layer with `fan_in` inputs —
 /// the recommended initializer for SELU self-normalizing networks.

@@ -13,7 +13,12 @@ namespace gpufreq::nn::kernels {
 /// are row-major with the natural leading dimension; bands ([lo, hi) row
 /// ranges) are the unit the thread pool parallelizes over, and every
 /// kernel keeps a fixed ascending accumulation order over the inner
-/// dimension so band partitioning never changes results.
+/// dimension so band partitioning never changes results. Each backend
+/// runs both GEMM bands through one register tile that reads A through a
+/// (row stride, inner stride) pair: (k, 1) for A * B and (1, k) for
+/// A^T * B. Every C element is one chain over the inner dimension that
+/// starts from zero and ascends, so a row's bits do not depend on the
+/// band it falls in or its position in a tile.
 struct KernelTable {
   const char* name;
 
@@ -33,6 +38,11 @@ struct KernelTable {
 
   /// out[i] = act(z[i]); in-place (out == z) is allowed.
   void (*activate)(Activation act, const float* z, float* out, std::size_t n);
+
+  /// Backprop through the activation: dz[i] = act'(z[i]) * dy[i], the
+  /// derivative rounded to float before the product.
+  void (*activate_backward)(Activation act, const float* z, const float* dy, float* dz,
+                            std::size_t n);
 
   /// Fused inference layer, rows [lo, hi):
   ///   Y[i] = act(X[i] * W + bias)

@@ -1,6 +1,5 @@
 #include "gpufreq/nn/activations.hpp"
 
-#include <algorithm>
 #include <cmath>
 
 #include "gpufreq/nn/kernels/kernel_table.hpp"
@@ -34,7 +33,6 @@ Activation activation_from_string(const std::string& name) {
 }
 
 using kernels::scalar_math::elu_f;
-using kernels::scalar_math::fast_expf;
 using kernels::scalar_math::kLeakySlope;
 using kernels::scalar_math::selu_f;
 using kernels::scalar_math::sigmoid_f;
@@ -57,28 +55,7 @@ float activate(Activation act, float x) {
 }
 
 float activate_derivative(Activation act, float x) {
-  switch (act) {
-    case Activation::kLinear: return 1.0f;
-    case Activation::kRelu: return x > 0.0f ? 1.0f : 0.0f;
-    case Activation::kElu: return x > 0.0f ? 1.0f : fast_expf(x);
-    case Activation::kLeakyRelu: return x > 0.0f ? 1.0f : kLeakySlope;
-    case Activation::kSelu:
-      return x > 0.0f ? kSeluScale : kSeluScale * kSeluAlpha * fast_expf(x);
-    case Activation::kSigmoid: {
-      const float s = sigmoid_f(x);
-      return s * (1.0f - s);
-    }
-    case Activation::kTanh: {
-      const float t = std::tanh(x);
-      return 1.0f - t * t;
-    }
-    case Activation::kSoftplus: return sigmoid_f(x);
-    case Activation::kSoftsign: {
-      const float d = 1.0f + std::abs(x);
-      return 1.0f / (d * d);
-    }
-  }
-  return 1.0f;
+  return kernels::scalar_math::derivative_f(act, x);
 }
 
 // The span overload goes through the kernel dispatch table: the scalar
@@ -89,50 +66,6 @@ float activate_derivative(Activation act, float x) {
 void activate(Activation act, std::span<const float> z, std::span<float> out) {
   GPUFREQ_REQUIRE(z.size() == out.size(), "activate: size mismatch");
   kernels::active().activate(act, z.data(), out.data(), z.size());
-}
-
-void activate_derivative(Activation act, std::span<const float> z, std::span<float> out) {
-  GPUFREQ_REQUIRE(z.size() == out.size(), "activate_derivative: size mismatch");
-  const std::size_t n = z.size();
-  switch (act) {
-    case Activation::kLinear:
-      std::fill(out.begin(), out.end(), 1.0f);
-      return;
-    case Activation::kRelu:
-      for (std::size_t i = 0; i < n; ++i) out[i] = z[i] > 0.0f ? 1.0f : 0.0f;
-      return;
-    case Activation::kElu:
-      for (std::size_t i = 0; i < n; ++i) out[i] = z[i] > 0.0f ? 1.0f : fast_expf(z[i]);
-      return;
-    case Activation::kLeakyRelu:
-      for (std::size_t i = 0; i < n; ++i) out[i] = z[i] > 0.0f ? 1.0f : kLeakySlope;
-      return;
-    case Activation::kSelu:
-      for (std::size_t i = 0; i < n; ++i)
-        out[i] = z[i] > 0.0f ? kSeluScale : kSeluScale * kSeluAlpha * fast_expf(z[i]);
-      return;
-    case Activation::kSigmoid:
-      for (std::size_t i = 0; i < n; ++i) {
-        const float s = sigmoid_f(z[i]);
-        out[i] = s * (1.0f - s);
-      }
-      return;
-    case Activation::kTanh:
-      for (std::size_t i = 0; i < n; ++i) {
-        const float t = std::tanh(z[i]);
-        out[i] = 1.0f - t * t;
-      }
-      return;
-    case Activation::kSoftplus:
-      for (std::size_t i = 0; i < n; ++i) out[i] = sigmoid_f(z[i]);
-      return;
-    case Activation::kSoftsign:
-      for (std::size_t i = 0; i < n; ++i) {
-        const float d = 1.0f + std::abs(z[i]);
-        out[i] = 1.0f / (d * d);
-      }
-      return;
-  }
 }
 
 float lecun_normal_stddev(std::size_t fan_in) {

@@ -31,6 +31,13 @@ constexpr std::size_t kMr = 6;
 constexpr std::size_t kNr = 16;
 static_assert(kNr == kPanelWidth, "packed panels must match the GEMM tile width");
 
+// Lane mask selecting the first `count` of 8 lanes (count <= 8), for
+// maskload/maskstore, which never touch the lanes it leaves out.
+inline __m256i mask_for(std::size_t count) {
+  return _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(count)),
+                            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+}
+
 // Vector port of scalar_math::fast_expf — same range reduction and
 // polynomial, evaluated with explicit FMAs. NaN lanes survive the clamps
 // (constant-first min/max) and poison the polynomial; the ordered
@@ -111,92 +118,177 @@ void activate_f(Activation act, const float* z, float* out, std::size_t n) {
   if (i < n) detail::scalar_table().activate(act, z + i, out + i, n - i);
 }
 
-// 6x16 register tile: 12 accumulators + 2 B lanes in the 16 ymm budget.
-// A partial tile (`live` < kMr rows) re-reads its last live row in the
-// spare rows, whose accumulators the caller never stores; every row's
-// lanes take the same p-ascending FMA chain at any tile height.
-inline void tile_accumulate(const float* a, std::size_t lda, const float* b,
+// One 8-lane derivative step, act'(z), for the acts whose derivative
+// vectorizes (all but tanh). Each mirrors scalar_math::derivative_f.
+inline __m256 dact8(Activation act, __m256 z) {
+  const __m256 zero = _mm256_setzero_ps();
+  const __m256 one = _mm256_set1_ps(1.0f);
+  const __m256 gt = _mm256_cmp_ps(z, zero, _CMP_GT_OQ);
+  switch (act) {
+    case Activation::kLinear:
+      return one;
+    case Activation::kRelu:
+      return _mm256_and_ps(gt, one);
+    case Activation::kElu:
+      return _mm256_blendv_ps(exp256(z), one, gt);
+    case Activation::kLeakyRelu:
+      return _mm256_blendv_ps(_mm256_set1_ps(scalar_math::kLeakySlope), one, gt);
+    case Activation::kSelu:
+      return _mm256_blendv_ps(
+          _mm256_mul_ps(_mm256_set1_ps(kSeluScale * kSeluAlpha), exp256(z)),
+          _mm256_set1_ps(kSeluScale), gt);
+    case Activation::kSigmoid: {
+      const __m256 s = act8(Activation::kSigmoid, z);
+      return _mm256_mul_ps(s, _mm256_sub_ps(one, s));
+    }
+    case Activation::kSoftplus:
+      return act8(Activation::kSigmoid, z);
+    case Activation::kSoftsign: {
+      const __m256 abs_mask = _mm256_castsi256_ps(_mm256_set1_epi32(0x7fffffff));
+      const __m256 d = _mm256_add_ps(one, _mm256_and_ps(z, abs_mask));
+      return _mm256_div_ps(one, _mm256_mul_ps(d, d));
+    }
+    default:
+      return one;  // unreachable: callers filter tanh first
+  }
+}
+
+void activate_backward_f(Activation act, const float* z, const float* dy, float* dz,
+                         std::size_t n) {
+  if (act == Activation::kTanh) {
+    detail::scalar_table().activate_backward(act, z, dy, dz, n);
+    return;
+  }
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    _mm256_storeu_ps(dz + i,
+                     _mm256_mul_ps(dact8(act, _mm256_loadu_ps(z + i)), _mm256_loadu_ps(dy + i)));
+  }
+  if (i < n) {
+    // Masked tail: the same lane arithmetic as the body, so an element's
+    // bits do not depend on its position.
+    const __m256i msk = mask_for(n - i);
+    _mm256_maskstore_ps(dz + i, msk,
+                        _mm256_mul_ps(dact8(act, _mm256_maskload_ps(z + i, msk)),
+                                      _mm256_maskload_ps(dy + i, msk)));
+  }
+}
+
+// 16-float row of B or C as two 8-lane halves. kMasked moves a
+// column-tail block through the lane masks (maskload/maskstore never
+// touch the lanes they leave out); otherwise both halves move whole.
+template <bool kMasked>
+inline void load16(const float* b, __m256i ml, __m256i mh, __m256& bl, __m256& bh) {
+  if constexpr (kMasked) {
+    bl = _mm256_maskload_ps(b, ml);
+    bh = _mm256_maskload_ps(b + 8, mh);
+  } else {
+    bl = _mm256_loadu_ps(b);
+    bh = _mm256_loadu_ps(b + 8);
+  }
+}
+
+template <bool kMasked>
+inline void store16(float* c, __m256i ml, __m256i mh, __m256 cl, __m256 ch) {
+  if constexpr (kMasked) {
+    _mm256_maskstore_ps(c, ml, cl);
+    _mm256_maskstore_ps(c + 8, mh, ch);
+  } else {
+    _mm256_storeu_ps(c, cl);
+    _mm256_storeu_ps(c + 8, ch);
+  }
+}
+
+// 6x16 register tile of C = op(A) * B: 12 accumulators + 2 B lanes in the
+// 16 ymm budget. Element (r, p) of op(A) sits at a[r * ars + p * aps], so
+// (lda, 1) reads A and (1, lda) reads A^T. A partial tile (`live` < kMr
+// rows) re-reads its last live row in the spare rows, whose accumulators
+// the caller never stores; every C element is one p-ascending FMA chain
+// from zero at any tile height.
+template <bool kMasked = false>
+inline void tile_accumulate(const float* a, std::size_t ars, std::size_t aps, const float* b,
                             std::size_t ldb, std::size_t k, __m256 acc[kMr][2],
-                            std::size_t live = kMr) {
+                            std::size_t live = kMr, __m256i ml = __m256i{},
+                            __m256i mh = __m256i{}) {
   std::size_t row_off[kMr];
-  for (std::size_t r = 0; r < kMr; ++r) row_off[r] = std::min(r, live - 1) * lda;
+  for (std::size_t r = 0; r < kMr; ++r) row_off[r] = std::min(r, live - 1) * ars;
   for (std::size_t r = 0; r < kMr; ++r) {
     acc[r][0] = _mm256_setzero_ps();
     acc[r][1] = _mm256_setzero_ps();
   }
   for (std::size_t p = 0; p < k; ++p) {
-    const __m256 bl = _mm256_loadu_ps(b + p * ldb);
-    const __m256 bh = _mm256_loadu_ps(b + p * ldb + 8);
+    __m256 bl, bh;
+    load16<kMasked>(b + p * ldb, ml, mh, bl, bh);
     for (std::size_t r = 0; r < kMr; ++r) {
-      const __m256 av = _mm256_broadcast_ss(a + row_off[r] + p);
+      const __m256 av = _mm256_broadcast_ss(a + row_off[r] + p * aps);
       acc[r][0] = _mm256_fmadd_ps(av, bl, acc[r][0]);
       acc[r][1] = _mm256_fmadd_ps(av, bh, acc[r][1]);
     }
   }
 }
 
-inline void kernel_mrxnr(const float* a, std::size_t lda, const float* b, std::size_t ldb,
-                         float* c, std::size_t ldc, std::size_t k) {
-  __m256 acc[kMr][2];
-  tile_accumulate(a, lda, b, ldb, k, acc);
-  for (std::size_t r = 0; r < kMr; ++r) {
-    _mm256_storeu_ps(c + r * ldc, acc[r][0]);
-    _mm256_storeu_ps(c + r * ldc + 8, acc[r][1]);
+// Single-row variant for the GEMM row tails (same chains, element p of
+// the row at a[p * aps]).
+template <bool kMasked>
+inline void row_accumulate(const float* a, std::size_t aps, const float* b, std::size_t ldb,
+                           std::size_t k, __m256i ml, __m256i mh, __m256& accl,
+                           __m256& acch) {
+  accl = _mm256_setzero_ps();
+  acch = _mm256_setzero_ps();
+  for (std::size_t p = 0; p < k; ++p) {
+    __m256 bl, bh;
+    load16<kMasked>(b + p * ldb, ml, mh, bl, bh);
+    const __m256 av = _mm256_broadcast_ss(a + p * aps);
+    accl = _mm256_fmadd_ps(av, bl, accl);
+    acch = _mm256_fmadd_ps(av, bh, acch);
   }
 }
 
-// i-p-j fallback for row/column tails; vectorizes over j when a full lane
-// fits, otherwise plain scalar. Accumulation stays p-ascending.
-inline void tail_rows(const float* a, std::size_t lda, const float* b, std::size_t ldb,
-                      float* c, std::size_t ldc, std::size_t k,
-                      std::size_t row_begin, std::size_t row_end,
-                      std::size_t col_begin, std::size_t col_end) {
-  for (std::size_t i = row_begin; i < row_end; ++i) {
-    float* ci = c + i * ldc;
-    for (std::size_t j = col_begin; j < col_end; ++j) ci[j] = 0.0f;
-    const float* ai = a + i * lda;
-    for (std::size_t p = 0; p < k; ++p) {
-      const float aip = ai[p];
-      const float* bp = b + p * ldb;
-      for (std::size_t j = col_begin; j < col_end; ++j) ci[j] += aip * bp[j];
+// One 16-column block of C rows [lo, hi): full tiles, then single rows.
+// Stores run over a constant kMr so the accumulators stay in registers.
+template <bool kMasked>
+inline void gemm_block(const float* A, std::size_t ars, std::size_t aps, const float* B,
+                       float* C, std::size_t k, std::size_t m, std::size_t lo, std::size_t hi,
+                       __m256i ml, __m256i mh) {
+  std::size_t i0 = lo;
+  __m256 acc[kMr][2];
+  for (; i0 + kMr <= hi; i0 += kMr) {
+    tile_accumulate<kMasked>(A + i0 * ars, ars, aps, B, m, k, acc, kMr, ml, mh);
+    for (std::size_t r = 0; r < kMr; ++r) {
+      store16<kMasked>(C + (i0 + r) * m, ml, mh, acc[r][0], acc[r][1]);
     }
+  }
+  for (; i0 < hi; ++i0) {
+    __m256 al, ah;
+    row_accumulate<kMasked>(A + i0 * ars, aps, B, m, k, ml, mh, al, ah);
+    store16<kMasked>(C + i0 * m, ml, mh, al, ah);
+  }
+}
+
+// C rows [lo, hi) of C = op(A) * B with op(A)(i, p) = A[i * ars + p * aps],
+// inner dimension k, B: k x m, C overwritten.
+void gemm_band(const float* A, std::size_t ars, std::size_t aps, const float* B, float* C,
+               std::size_t k, std::size_t m, std::size_t lo, std::size_t hi) {
+  const __m256i all = mask_for(8);
+  std::size_t j0 = 0;
+  for (; j0 + kNr <= m; j0 += kNr) {
+    gemm_block<false>(A, ars, aps, B + j0, C + j0, k, m, lo, hi, all, all);
+  }
+  if (j0 < m) {
+    const std::size_t jw = m - j0;
+    gemm_block<true>(A, ars, aps, B + j0, C + j0, k, m, lo, hi,
+                     mask_for(std::min<std::size_t>(jw, 8)), mask_for(jw > 8 ? jw - 8 : 0));
   }
 }
 
 void gemm_row_band_f(const float* A, const float* B, float* C, std::size_t k,
                      std::size_t m, std::size_t lo, std::size_t hi) {
-  for (std::size_t j0 = 0; j0 + kNr <= m; j0 += kNr) {
-    std::size_t i0 = lo;
-    for (; i0 + kMr <= hi; i0 += kMr) {
-      kernel_mrxnr(A + i0 * k, k, B + j0, m, C + i0 * m + j0, m, k);
-    }
-    tail_rows(A, k, B, m, C, m, k, i0, hi, j0, j0 + kNr);
-  }
-  const std::size_t j_tail = m - m % kNr;
-  if (j_tail < m) tail_rows(A, k, B, m, C, m, k, lo, hi, j_tail, m);
+  gemm_band(A, k, 1, B, C, k, m, lo, hi);
 }
 
 void gemm_tn_band_f(const float* A, const float* B, float* C, std::size_t n,
                     std::size_t k, std::size_t m, std::size_t lo, std::size_t hi) {
-  for (std::size_t i = lo; i < hi; ++i) {
-    float* ci = C + i * m;
-    for (std::size_t j = 0; j < m; ++j) ci[j] = 0.0f;
-  }
-  for (std::size_t p = 0; p < n; ++p) {
-    const float* ap = A + p * k;
-    const float* bp = B + p * m;
-    for (std::size_t i = lo; i < hi; ++i) {
-      const __m256 av = _mm256_broadcast_ss(ap + i);
-      float* ci = C + i * m;
-      std::size_t j = 0;
-      for (; j + 8 <= m; j += 8) {
-        _mm256_storeu_ps(ci + j,
-                         _mm256_fmadd_ps(av, _mm256_loadu_ps(bp + j), _mm256_loadu_ps(ci + j)));
-      }
-      const float api = ap[i];
-      for (; j < m; ++j) ci[j] += api * bp[j];
-    }
-  }
+  gemm_band(A, 1, k, B, C, n, m, lo, hi);
 }
 
 void add_row_vector_f(float* m, const float* v, std::size_t rows, std::size_t cols) {
@@ -251,7 +343,7 @@ void dense_bias_act_f(const float* x, const PackedWeights& w, const float* bias,
     std::size_t i = lo;
     __m256 acc[kMr][2];
     for (; i + kMr <= hi; i += kMr) {
-      tile_accumulate(x + i * k, k, B, kPanelWidth, k, acc);
+      tile_accumulate(x + i * k, k, 1, B, kPanelWidth, k, acc);
       for (std::size_t r = 0; r < kMr; ++r) {
         bias_act_store(act, acc[r][0], acc[r][1], bias + j0, y + (i + r) * n + j0, jn);
       }
@@ -259,7 +351,7 @@ void dense_bias_act_f(const float* x, const PackedWeights& w, const float* bias,
     // Row tail: one partial tile, same p-ascending order.
     if (i < hi) {
       const std::size_t live = hi - i;
-      tile_accumulate(x + i * k, k, B, kPanelWidth, k, acc, live);
+      tile_accumulate(x + i * k, k, 1, B, kPanelWidth, k, acc, live);
       for (std::size_t r = 0; r < live; ++r) {
         bias_act_store(act, acc[r][0], acc[r][1], bias + j0, y + (i + r) * n + j0, jn);
       }
@@ -449,9 +541,9 @@ namespace detail {
 
 const KernelTable* avx2_table() {
   static const KernelTable table = {
-      "avx2",          gemm_row_band_f, gemm_tn_band_f,     add_row_vector_f,
-      column_sums_f,   activate_f,      dense_bias_act_f,   quantize_rows_i8_f,
-      dense_bias_act_i8_f,
+      "avx2",           gemm_row_band_f,     gemm_tn_band_f,   add_row_vector_f,
+      column_sums_f,    activate_f,          activate_backward_f,
+      dense_bias_act_f, quantize_rows_i8_f,  dense_bias_act_i8_f,
   };
   return &table;
 }

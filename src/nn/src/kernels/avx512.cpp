@@ -132,12 +132,67 @@ void activate_f(Activation act, const float* z, float* out, std::size_t n) {
   }
 }
 
-// 8x32 register tile against an UNPACKED B (ld = ldb): 16 accumulators +
-// 2 B lanes. Masked B loads/C stores make the same kernel serve full and
-// tail column blocks; accumulation stays p-ascending.
-inline void tile_accumulate(const float* a, std::size_t lda, const float* b,
-                            std::size_t ldb, std::size_t k, __mmask16 m0,
-                            __mmask16 m1, __m512 acc[kMr][2]) {
+// One 16-lane derivative step, act'(z), for the acts whose derivative
+// vectorizes (all but tanh). Each mirrors scalar_math::derivative_f.
+inline __m512 dact16(Activation act, __m512 z) {
+  const __m512 zero = _mm512_setzero_ps();
+  const __m512 one = _mm512_set1_ps(1.0f);
+  const __mmask16 gt = _mm512_cmp_ps_mask(z, zero, _CMP_GT_OQ);
+  switch (act) {
+    case Activation::kLinear:
+      return one;
+    case Activation::kRelu:
+      return _mm512_maskz_mov_ps(gt, one);
+    case Activation::kElu:
+      return _mm512_mask_blend_ps(gt, exp512(z), one);
+    case Activation::kLeakyRelu:
+      return _mm512_mask_blend_ps(gt, _mm512_set1_ps(scalar_math::kLeakySlope), one);
+    case Activation::kSelu:
+      return _mm512_mask_blend_ps(
+          gt, _mm512_mul_ps(_mm512_set1_ps(kSeluScale * kSeluAlpha), exp512(z)),
+          _mm512_set1_ps(kSeluScale));
+    case Activation::kSigmoid: {
+      const __m512 s = act16(Activation::kSigmoid, z);
+      return _mm512_mul_ps(s, _mm512_sub_ps(one, s));
+    }
+    case Activation::kSoftplus:
+      return act16(Activation::kSigmoid, z);
+    case Activation::kSoftsign: {
+      const __m512 d = _mm512_add_ps(one, _mm512_abs_ps(z));
+      return _mm512_div_ps(one, _mm512_mul_ps(d, d));
+    }
+    default:
+      return one;  // unreachable: callers filter tanh first
+  }
+}
+
+void activate_backward_f(Activation act, const float* z, const float* dy, float* dz,
+                         std::size_t n) {
+  if (act == Activation::kTanh) {
+    detail::scalar_table().activate_backward(act, z, dy, dz, n);
+    return;
+  }
+  std::size_t i = 0;
+  for (; i + 16 <= n; i += 16) {
+    _mm512_storeu_ps(dz + i,
+                     _mm512_mul_ps(dact16(act, _mm512_loadu_ps(z + i)), _mm512_loadu_ps(dy + i)));
+  }
+  if (i < n) {
+    const __mmask16 msk = mask_for(n - i);
+    _mm512_mask_storeu_ps(dz + i, msk,
+                          _mm512_mul_ps(dact16(act, _mm512_maskz_loadu_ps(msk, z + i)),
+                                        _mm512_maskz_loadu_ps(msk, dy + i)));
+  }
+}
+
+// 8x32 register tile of C = op(A) * B against an UNPACKED B (ld = ldb):
+// 16 accumulators + 2 B lanes. Element (r, p) of op(A) sits at
+// a[r * ars + p * aps], so (lda, 1) reads A and (1, lda) reads A^T.
+// Masked B loads/C stores make the same kernel serve full and tail column
+// blocks; every C element is one p-ascending FMA chain from zero.
+inline void tile_accumulate(const float* a, std::size_t ars, std::size_t aps, const float* b,
+                            std::size_t ldb, std::size_t k, __mmask16 m0, __mmask16 m1,
+                            __m512 acc[kMr][2]) {
   for (std::size_t r = 0; r < kMr; ++r) {
     acc[r][0] = _mm512_setzero_ps();
     acc[r][1] = _mm512_setzero_ps();
@@ -146,28 +201,31 @@ inline void tile_accumulate(const float* a, std::size_t lda, const float* b,
     const __m512 bl = _mm512_maskz_loadu_ps(m0, b + p * ldb);
     const __m512 bh = _mm512_maskz_loadu_ps(m1, b + p * ldb + 16);
     for (std::size_t r = 0; r < kMr; ++r) {
-      const __m512 av = _mm512_set1_ps(a[r * lda + p]);
+      const __m512 av = _mm512_set1_ps(a[r * ars + p * aps]);
       acc[r][0] = _mm512_fmadd_ps(av, bl, acc[r][0]);
       acc[r][1] = _mm512_fmadd_ps(av, bh, acc[r][1]);
     }
   }
 }
 
-// Single-row variant for row tails (same order, two accumulator chains).
-inline void row_accumulate(const float* a, const float* b, std::size_t ldb,
+// Single-row variant for row tails (same chains, element p of the row at
+// a[p * aps]).
+inline void row_accumulate(const float* a, std::size_t aps, const float* b, std::size_t ldb,
                            std::size_t k, __mmask16 m0, __mmask16 m1, __m512& accl,
                            __m512& acch) {
   accl = _mm512_setzero_ps();
   acch = _mm512_setzero_ps();
   for (std::size_t p = 0; p < k; ++p) {
-    const __m512 av = _mm512_set1_ps(a[p]);
+    const __m512 av = _mm512_set1_ps(a[p * aps]);
     accl = _mm512_fmadd_ps(av, _mm512_maskz_loadu_ps(m0, b + p * ldb), accl);
     acch = _mm512_fmadd_ps(av, _mm512_maskz_loadu_ps(m1, b + p * ldb + 16), acch);
   }
 }
 
-void gemm_row_band_f(const float* A, const float* B, float* C, std::size_t k,
-                     std::size_t m, std::size_t lo, std::size_t hi) {
+// C rows [lo, hi) of C = op(A) * B with op(A)(i, p) = A[i * ars + p * aps],
+// inner dimension k, B: k x m, C overwritten.
+void gemm_band(const float* A, std::size_t ars, std::size_t aps, const float* B, float* C,
+               std::size_t k, std::size_t m, std::size_t lo, std::size_t hi) {
   for (std::size_t j0 = 0; j0 < m; j0 += kNr) {
     const std::size_t jw = std::min(kNr, m - j0);
     const __mmask16 m0 = mask_for(std::min<std::size_t>(jw, kPanelWidth));
@@ -175,7 +233,7 @@ void gemm_row_band_f(const float* A, const float* B, float* C, std::size_t k,
     std::size_t i0 = lo;
     __m512 acc[kMr][2];
     for (; i0 + kMr <= hi; i0 += kMr) {
-      tile_accumulate(A + i0 * k, k, B + j0, m, k, m0, m1, acc);
+      tile_accumulate(A + i0 * ars, ars, aps, B + j0, m, k, m0, m1, acc);
       for (std::size_t r = 0; r < kMr; ++r) {
         float* c = C + (i0 + r) * m + j0;
         _mm512_mask_storeu_ps(c, m0, acc[r][0]);
@@ -184,7 +242,7 @@ void gemm_row_band_f(const float* A, const float* B, float* C, std::size_t k,
     }
     for (; i0 < hi; ++i0) {
       __m512 al, ah;
-      row_accumulate(A + i0 * k, B + j0, m, k, m0, m1, al, ah);
+      row_accumulate(A + i0 * ars, aps, B + j0, m, k, m0, m1, al, ah);
       float* c = C + i0 * m + j0;
       _mm512_mask_storeu_ps(c, m0, al);
       _mm512_mask_storeu_ps(c + 16, m1, ah);
@@ -192,31 +250,14 @@ void gemm_row_band_f(const float* A, const float* B, float* C, std::size_t k,
   }
 }
 
+void gemm_row_band_f(const float* A, const float* B, float* C, std::size_t k,
+                     std::size_t m, std::size_t lo, std::size_t hi) {
+  gemm_band(A, k, 1, B, C, k, m, lo, hi);
+}
+
 void gemm_tn_band_f(const float* A, const float* B, float* C, std::size_t n,
                     std::size_t k, std::size_t m, std::size_t lo, std::size_t hi) {
-  for (std::size_t i = lo; i < hi; ++i) {
-    float* ci = C + i * m;
-    for (std::size_t j = 0; j < m; ++j) ci[j] = 0.0f;
-  }
-  const __mmask16 tail = mask_for(m % 16);
-  for (std::size_t p = 0; p < n; ++p) {
-    const float* ap = A + p * k;
-    const float* bp = B + p * m;
-    for (std::size_t i = lo; i < hi; ++i) {
-      const __m512 av = _mm512_set1_ps(ap[i]);
-      float* ci = C + i * m;
-      std::size_t j = 0;
-      for (; j + 16 <= m; j += 16) {
-        _mm512_storeu_ps(
-            ci + j, _mm512_fmadd_ps(av, _mm512_loadu_ps(bp + j), _mm512_loadu_ps(ci + j)));
-      }
-      if (j < m) {
-        _mm512_mask_storeu_ps(ci + j, tail,
-                              _mm512_fmadd_ps(av, _mm512_maskz_loadu_ps(tail, bp + j),
-                                              _mm512_maskz_loadu_ps(tail, ci + j)));
-      }
-    }
-  }
+  gemm_band(A, 1, k, B, C, n, m, lo, hi);
 }
 
 void add_row_vector_f(float* m, const float* v, std::size_t rows, std::size_t cols) {
@@ -516,8 +557,9 @@ namespace detail {
 
 const KernelTable* avx512_table() {
   static const KernelTable table = {
-      "avx512",        gemm_row_band_f, gemm_tn_band_f,     add_row_vector_f,
-      column_sums_f,   activate_f,      dense_bias_act_f,   quantize_rows_i8_f,
+      "avx512",         gemm_row_band_f,     gemm_tn_band_f,   add_row_vector_f,
+      column_sums_f,    activate_f,          activate_backward_f,
+      dense_bias_act_f, quantize_rows_i8_f,
       __builtin_cpu_supports("avx512vnni") ? dense_bias_act_i8_vnni
                                            : dense_bias_act_i8_f,
   };

@@ -4,7 +4,11 @@
 // GCC/Clang vector extensions below compile on any target (lowered to
 // whatever the build's -m flags allow) and the fallback path is plain
 // C++. Accumulation order is ascending in the inner dimension in every
-// path, so results are bitwise identical for any thread count.
+// path, so results are bitwise identical for any thread count. The TU is
+// compiled with -ffp-contract=off (src/nn/CMakeLists.txt): no path fuses a
+// multiply-add, so a compiler-vectorized loop's vector body and scalar
+// tail, the register tile and the row tail all round alike, and a row's
+// bits do not depend on where it sits in a band or on -march.
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
@@ -39,137 +43,97 @@ inline v8sf load8(const float* p) {
   return v;
 }
 
-// Accumulate the kMr x kNr tile into `acc` (row-major kMr x kNr floats).
-inline void tile_accumulate(const float* a, std::size_t lda, const float* b, std::size_t ldb,
-                            std::size_t k, float* acc) {
-  v8sf a0l = {}, a0h = {}, a1l = {}, a1h = {}, a2l = {}, a2h = {};
-  v8sf a3l = {}, a3h = {}, a4l = {}, a4h = {}, a5l = {}, a5h = {};
+// Accumulate the kMr x kNr tile into `acc` (row-major kMr x kNr floats),
+// every accumulator row starting at the `init16` lanes: zeros for a plain
+// product, the bias for the fused layer (z = bias + sum(a*b) then costs
+// nothing extra, and no separate add_row_vector pass is needed). Element
+// (r, p) of the A operand sits at a[r * ars + p * aps]: (lda, 1) reads A
+// itself, (1, lda) reads A^T, so C = A*B and C = A^T*B share this tile.
+inline void tile_accumulate(const float* a, std::size_t ars, std::size_t aps, const float* b,
+                            std::size_t ldb, std::size_t k, const float* init16, float* acc) {
+  const v8sf i0 = load8(init16);
+  const v8sf i1 = load8(init16 + 8);
+  v8sf a0l = i0, a0h = i1, a1l = i0, a1h = i1, a2l = i0, a2h = i1;
+  v8sf a3l = i0, a3h = i1, a4l = i0, a4h = i1, a5l = i0, a5h = i1;
   for (std::size_t p = 0; p < k; ++p) {
     const v8sf bl = load8(b + p * ldb);
     const v8sf bh = load8(b + p * ldb + 8);
+    const float* ap = a + p * aps;
     float x;
-    x = a[0 * lda + p]; a0l += x * bl; a0h += x * bh;
-    x = a[1 * lda + p]; a1l += x * bl; a1h += x * bh;
-    x = a[2 * lda + p]; a2l += x * bl; a2h += x * bh;
-    x = a[3 * lda + p]; a3l += x * bl; a3h += x * bh;
-    x = a[4 * lda + p]; a4l += x * bl; a4h += x * bh;
-    x = a[5 * lda + p]; a5l += x * bl; a5h += x * bh;
-  }
-  const v8sf out[kMr][2] = {{a0l, a0h}, {a1l, a1h}, {a2l, a2h},
-                            {a3l, a3h}, {a4l, a4h}, {a5l, a5h}};
-  __builtin_memcpy(acc, &out[0][0], sizeof(out));
-}
-
-// Same tile, but every accumulator row starts at the bias lanes instead of
-// zero, so z = bias + sum(a*b) costs nothing extra: the bias add rides the
-// register initialization and no separate add_row_vector pass is needed.
-inline void tile_accumulate_bias(const float* a, std::size_t lda, const float* b,
-                                 std::size_t ldb, std::size_t k, const float* bias16,
-                                 float* acc) {
-  const v8sf b0 = load8(bias16);
-  const v8sf b1 = load8(bias16 + 8);
-  v8sf a0l = b0, a0h = b1, a1l = b0, a1h = b1, a2l = b0, a2h = b1;
-  v8sf a3l = b0, a3h = b1, a4l = b0, a4h = b1, a5l = b0, a5h = b1;
-  for (std::size_t p = 0; p < k; ++p) {
-    const v8sf bl = load8(b + p * ldb);
-    const v8sf bh = load8(b + p * ldb + 8);
-    float x;
-    x = a[0 * lda + p]; a0l += x * bl; a0h += x * bh;
-    x = a[1 * lda + p]; a1l += x * bl; a1h += x * bh;
-    x = a[2 * lda + p]; a2l += x * bl; a2h += x * bh;
-    x = a[3 * lda + p]; a3l += x * bl; a3h += x * bh;
-    x = a[4 * lda + p]; a4l += x * bl; a4h += x * bh;
-    x = a[5 * lda + p]; a5l += x * bl; a5h += x * bh;
+    x = ap[0 * ars]; a0l += x * bl; a0h += x * bh;
+    x = ap[1 * ars]; a1l += x * bl; a1h += x * bh;
+    x = ap[2 * ars]; a2l += x * bl; a2h += x * bh;
+    x = ap[3 * ars]; a3l += x * bl; a3h += x * bh;
+    x = ap[4 * ars]; a4l += x * bl; a4h += x * bh;
+    x = ap[5 * ars]; a5l += x * bl; a5h += x * bh;
   }
   const v8sf out[kMr][2] = {{a0l, a0h}, {a1l, a1h}, {a2l, a2h},
                             {a3l, a3h}, {a4l, a4h}, {a5l, a5h}};
   __builtin_memcpy(acc, &out[0][0], sizeof(out));
 }
 #else
-inline void tile_accumulate(const float* a, std::size_t lda, const float* b, std::size_t ldb,
-                            std::size_t k, float* acc) {
-  for (std::size_t i = 0; i < kMr * kNr; ++i) acc[i] = 0.0f;
-  for (std::size_t p = 0; p < k; ++p) {
-    const float* bp = b + p * ldb;
-    for (std::size_t r = 0; r < kMr; ++r) {
-      const float ar = a[r * lda + p];
-      for (std::size_t j = 0; j < kNr; ++j) acc[r * kNr + j] += ar * bp[j];
-    }
-  }
-}
-
-inline void tile_accumulate_bias(const float* a, std::size_t lda, const float* b,
-                                 std::size_t ldb, std::size_t k, const float* bias16,
-                                 float* acc) {
+inline void tile_accumulate(const float* a, std::size_t ars, std::size_t aps, const float* b,
+                            std::size_t ldb, std::size_t k, const float* init16, float* acc) {
   for (std::size_t r = 0; r < kMr; ++r) {
-    for (std::size_t j = 0; j < kNr; ++j) acc[r * kNr + j] = bias16[j];
+    for (std::size_t j = 0; j < kNr; ++j) acc[r * kNr + j] = init16[j];
   }
   for (std::size_t p = 0; p < k; ++p) {
     const float* bp = b + p * ldb;
     for (std::size_t r = 0; r < kMr; ++r) {
-      const float ar = a[r * lda + p];
+      const float ar = a[r * ars + p * aps];
       for (std::size_t j = 0; j < kNr; ++j) acc[r * kNr + j] += ar * bp[j];
     }
   }
 }
 #endif
 
-inline void kernel_mrxnr(const float* a, std::size_t lda, const float* b, std::size_t ldb,
-                         float* c, std::size_t ldc, std::size_t k) {
-  float acc[kMr * kNr];
-  tile_accumulate(a, lda, b, ldb, k, acc);
-  for (std::size_t r = 0; r < kMr; ++r) {
-    for (std::size_t j = 0; j < kNr; ++j) c[r * ldc + j] = acc[r * kNr + j];
-  }
-}
+constexpr float kZeros[kNr] = {};
 
-// Seed-style i-p-j fallback for row/column tails (contiguous B access).
-inline void tail_rows(const float* a, std::size_t lda, const float* b, std::size_t ldb,
-                      float* c, std::size_t ldc, std::size_t k,
+// i-p-j fallback for row/column tails (contiguous B access), same A
+// addressing and p-ascending order as the tile.
+inline void tail_rows(const float* a, std::size_t ars, std::size_t aps, const float* b,
+                      std::size_t ldb, float* c, std::size_t ldc, std::size_t k,
                       std::size_t row_begin, std::size_t row_end,
                       std::size_t col_begin, std::size_t col_end) {
   for (std::size_t i = row_begin; i < row_end; ++i) {
     float* ci = c + i * ldc;
     for (std::size_t j = col_begin; j < col_end; ++j) ci[j] = 0.0f;
-    const float* ai = a + i * lda;
+    const float* ai = a + i * ars;
     for (std::size_t p = 0; p < k; ++p) {
-      const float aip = ai[p];
+      const float aip = ai[p * aps];
       const float* bp = b + p * ldb;
       for (std::size_t j = col_begin; j < col_end; ++j) ci[j] += aip * bp[j];
     }
   }
 }
 
-void gemm_row_band_f(const float* A, const float* B, float* C, std::size_t k,
-                     std::size_t m, std::size_t lo, std::size_t hi) {
+// C rows [lo, hi) of C = op(A) * B with op(A)(i, p) = A[i * ars + p * aps],
+// inner dimension k, B: k x m, C overwritten.
+void gemm_band(const float* A, std::size_t ars, std::size_t aps, const float* B, float* C,
+               std::size_t k, std::size_t m, std::size_t lo, std::size_t hi) {
+  float acc[kMr * kNr];
   for (std::size_t j0 = 0; j0 + kNr <= m; j0 += kNr) {
     std::size_t i0 = lo;
     for (; i0 + kMr <= hi; i0 += kMr) {
-      kernel_mrxnr(A + i0 * k, k, B + j0, m, C + i0 * m + j0, m, k);
+      tile_accumulate(A + i0 * ars, ars, aps, B + j0, m, k, kZeros, acc);
+      for (std::size_t r = 0; r < kMr; ++r) {
+        for (std::size_t j = 0; j < kNr; ++j) C[(i0 + r) * m + j0 + j] = acc[r * kNr + j];
+      }
     }
-    tail_rows(A, k, B, m, C, m, k, i0, hi, j0, j0 + kNr);
+    tail_rows(A, ars, aps, B, m, C, m, k, i0, hi, j0, j0 + kNr);
   }
   const std::size_t j_tail = m - m % kNr;
-  if (j_tail < m) tail_rows(A, k, B, m, C, m, k, lo, hi, j_tail, m);
+  if (j_tail < m) tail_rows(A, ars, aps, B, m, C, m, k, lo, hi, j_tail, m);
+}
+
+void gemm_row_band_f(const float* A, const float* B, float* C, std::size_t k,
+                     std::size_t m, std::size_t lo, std::size_t hi) {
+  gemm_band(A, k, 1, B, C, k, m, lo, hi);
 }
 
 void gemm_tn_band_f(const float* A, const float* B, float* C, std::size_t n,
                     std::size_t k, std::size_t m, std::size_t lo, std::size_t hi) {
-  // The band owns C rows (= A columns) [lo, hi); p stays the outer loop so
-  // B rows stream once per band and accumulation stays p-ascending.
-  for (std::size_t i = lo; i < hi; ++i) {
-    float* ci = C + i * m;
-    for (std::size_t j = 0; j < m; ++j) ci[j] = 0.0f;
-  }
-  for (std::size_t p = 0; p < n; ++p) {
-    const float* ap = A + p * k;
-    const float* bp = B + p * m;
-    for (std::size_t i = lo; i < hi; ++i) {
-      const float api = ap[i];
-      float* ci = C + i * m;
-      for (std::size_t j = 0; j < m; ++j) ci[j] += api * bp[j];
-    }
-  }
+  gemm_band(A, 1, k, B, C, n, m, lo, hi);
 }
 
 void add_row_vector_f(float* m, const float* v, std::size_t rows, std::size_t cols) {
@@ -220,6 +184,28 @@ void activate_f(Activation act, const float* z, float* out, std::size_t n) {
   }
 }
 
+template <Activation kAct>
+void backward_loop(const float* z, const float* dy, float* dz, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) dz[i] = scalar_math::derivative_f(kAct, z[i]) * dy[i];
+}
+
+void activate_backward_f(Activation act, const float* z, const float* dy, float* dz,
+                         std::size_t n) {
+  // One loop per activation, so each inlines its own derivative and
+  // vectorizes branch-free.
+  switch (act) {
+    case Activation::kLinear: return backward_loop<Activation::kLinear>(z, dy, dz, n);
+    case Activation::kRelu: return backward_loop<Activation::kRelu>(z, dy, dz, n);
+    case Activation::kElu: return backward_loop<Activation::kElu>(z, dy, dz, n);
+    case Activation::kLeakyRelu: return backward_loop<Activation::kLeakyRelu>(z, dy, dz, n);
+    case Activation::kSelu: return backward_loop<Activation::kSelu>(z, dy, dz, n);
+    case Activation::kSigmoid: return backward_loop<Activation::kSigmoid>(z, dy, dz, n);
+    case Activation::kTanh: return backward_loop<Activation::kTanh>(z, dy, dz, n);
+    case Activation::kSoftplus: return backward_loop<Activation::kSoftplus>(z, dy, dz, n);
+    case Activation::kSoftsign: return backward_loop<Activation::kSoftsign>(z, dy, dz, n);
+  }
+}
+
 void dense_bias_act_f(const float* x, const PackedWeights& w, const float* bias,
                       Activation act, float* y, std::size_t lo, std::size_t hi) {
   GPUFREQ_HOT("gpufreq::nn::kernels::(anonymous namespace)::dense_bias_act_f");
@@ -245,7 +231,7 @@ void dense_bias_act_f(const float* x, const PackedWeights& w, const float* bias,
     std::size_t i = lo;
     float acc[kMr * kNr];
     for (; i + kMr <= hi; i += kMr) {
-      tile_accumulate_bias(x + i * k, k, B, kPanelWidth, k, bias16, acc);
+      tile_accumulate(x + i * k, k, 1, B, kPanelWidth, k, bias16, acc);
       for (std::size_t r = 0; r < kMr; ++r) {
         float* yr = y + (i + r) * n + j0;
         for (std::size_t j = 0; j < jn; ++j) yr[j] = acc[r * kNr + j];
@@ -333,9 +319,9 @@ namespace detail {
 
 const KernelTable& scalar_table() {
   static const KernelTable table = {
-      "scalar",        gemm_row_band_f, gemm_tn_band_f,     add_row_vector_f,
-      column_sums_f,   activate_f,      dense_bias_act_f,   quantize_rows_i8_f,
-      dense_bias_act_i8_f,
+      "scalar",         gemm_row_band_f,     gemm_tn_band_f,   add_row_vector_f,
+      column_sums_f,    activate_f,          activate_backward_f,
+      dense_bias_act_f, quantize_rows_i8_f,  dense_bias_act_i8_f,
   };
   return table;
 }

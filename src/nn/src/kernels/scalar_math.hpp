@@ -4,8 +4,10 @@
 // activate()/activate_derivative() overloads (src/nn/src/activations.cpp)
 // and the scalar kernel backend (scalar.cpp) must call the *same* inlined
 // code so both produce bit-identical results; this header is that single
-// definition. Not a public header — lives under src/nn/src/kernels/ on
-// purpose.
+// definition. Both TUs are compiled with -ffp-contract=off, so these
+// expressions round exactly as written whether a loop runs them in its
+// vector body, its scalar tail, or a single call. Not a public header —
+// lives under src/nn/src/kernels/ on purpose.
 
 #include <algorithm>
 #include <cmath>
@@ -64,5 +66,31 @@ inline float softplus_f(float x) {
   return std::log1p(e) + std::max(x, 0.0f);
 }
 inline float softsign_f(float x) { return x / (1.0f + std::abs(x)); }
+
+// d act(x) / dx given the pre-activation x.
+inline float derivative_f(Activation act, float x) {
+  switch (act) {
+    case Activation::kLinear: return 1.0f;
+    case Activation::kRelu: return x > 0.0f ? 1.0f : 0.0f;
+    case Activation::kElu: return x > 0.0f ? 1.0f : fast_expf(x);
+    case Activation::kLeakyRelu: return x > 0.0f ? 1.0f : kLeakySlope;
+    case Activation::kSelu:
+      return x > 0.0f ? kSeluScale : kSeluScale * kSeluAlpha * fast_expf(x);
+    case Activation::kSigmoid: {
+      const float s = sigmoid_f(x);
+      return s * (1.0f - s);
+    }
+    case Activation::kTanh: {
+      const float t = std::tanh(x);
+      return 1.0f - t * t;
+    }
+    case Activation::kSoftplus: return sigmoid_f(x);
+    case Activation::kSoftsign: {
+      const float d = 1.0f + std::abs(x);
+      return 1.0f / (d * d);
+    }
+  }
+  return 1.0f;
+}
 
 }  // namespace gpufreq::nn::kernels::scalar_math

@@ -65,14 +65,10 @@ void DenseLayer::backward(const Matrix& delta, Matrix& dx) {
   GPUFREQ_REQUIRE(cached_x_ != nullptr, "DenseLayer::backward: forward not called");
   GPUFREQ_REQUIRE(delta.rows() == cached_z_.rows() && delta.cols() == cached_z_.cols(),
                   "DenseLayer::backward: delta shape mismatch (forward not called?)");
-  // dL/dZ = dL/dY * act'(Z)
+  // dL/dZ = act'(Z) * dL/dY, one fused pass
   delta_z_.resize_uninit(delta.rows(), delta.cols());
-  activate_derivative(act_, cached_z_.flat(), delta_z_.flat());
-  {
-    auto dz = delta_z_.flat();
-    auto dy = delta.flat();
-    for (std::size_t i = 0; i < dz.size(); ++i) dz[i] *= dy[i];
-  }
+  kernels::active().activate_backward(act_, cached_z_.flat().data(), delta.flat().data(),
+                                      delta_z_.flat().data(), delta_z_.size());
 
   // Parameter gradients, averaged over the batch.
   gemm_tn(*cached_x_, delta_z_, grad_w_);

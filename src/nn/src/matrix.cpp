@@ -39,8 +39,9 @@ namespace {
 // Rows per parallel chunk (multiple of the 6-row register tile of the
 // kernel backends, so tile boundaries are thread-count independent).
 constexpr std::size_t kRowGrain = 48;
-// Chunk grain for the (small) k-dimension of gemm_tn outputs.
-constexpr std::size_t kTnGrain = 16;
+// Chunk grain for the (small) k-dimension of gemm_tn outputs; also a
+// multiple of every register-tile height, so bands hold whole tiles.
+constexpr std::size_t kTnGrain = 24;
 
 }  // namespace
 
@@ -72,9 +73,9 @@ void gemm_tn(const Matrix& a, const Matrix& b, Matrix& c) {
   const float* B = b.flat().data();
   float* C = c.flat().data();
 
-  // Each chunk owns a band of C rows (= A columns); the kernel keeps p as
-  // the outer loop so B rows stream once per chunk and accumulation stays
-  // p-ascending.
+  // Each chunk owns a band of C rows (= A columns); the kernel runs them
+  // through the same register tile as gemm, reading A transposed, so
+  // every C element is one p-ascending chain whatever the band.
   const kernels::KernelTable& kt = kernels::active();
   parallel_for(0, k, kTnGrain, [&](std::size_t lo, std::size_t hi) {
     kt.gemm_tn_band(A, B, C, n, k, m, lo, hi);

@@ -9,6 +9,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <limits>
 #include <vector>
 
 #include "gpufreq/nn/kernels/dispatch.hpp"
@@ -380,13 +381,12 @@ TEST(KernelParity, SinglePanelLayerTilesMatchScalar) {
 }
 
 TEST(KernelDeterminism, FusedLayerIsRowLocalBitwise) {
-  // On the hand-vectorized backends a row's result does not depend on
-  // whether it lands in a full register tile, a partial one, or a
-  // single-row call at a shifted base pointer. (The compiler-vectorized
-  // scalar reference may contract its tile and tail loops differently; it
-  // stays bitwise stable because bands always start on a tile boundary.)
+  // On every backend a row's result does not depend on whether it lands in
+  // a full register tile, a partial one, or a single-row call at a shifted
+  // base pointer. For the compiler-vectorized scalar reference this holds
+  // because its TU never contracts a multiply-add, so the tile, the row
+  // tail, and a loop's vector body and scalar tail all round alike.
   for (const KernelTable* kt : all_available_tables()) {
-    if (kt == &detail::scalar_table()) continue;
     SCOPED_TRACE(kt->name);
     for (std::size_t n : {1, 5, 16, 33, 64}) {
       SCOPED_TRACE(::testing::Message() << "n=" << n);
@@ -405,6 +405,139 @@ TEST(KernelDeterminism, FusedLayerIsRowLocalBitwise) {
       }
       for (std::size_t i = 0; i < whole.size(); ++i) {
         EXPECT_EQ(whole[i], split[i]) << "at index " << i;
+      }
+    }
+  }
+}
+
+// C = A^T * B, A: n x k, B: n x m, as one std::fma chain per element
+// from zero with p ascending: the order every backend's gemm_tn promises.
+std::vector<float> gemm_tn_fma_reference(const Matrix& a, const Matrix& b) {
+  const std::size_t n = a.rows(), k = a.cols(), m = b.cols();
+  std::vector<float> c(k * m);
+  for (std::size_t i = 0; i < k; ++i) {
+    for (std::size_t j = 0; j < m; ++j) {
+      float acc = 0.0f;
+      for (std::size_t p = 0; p < n; ++p) acc = std::fma(a(p, i), b(p, j), acc);
+      c[i * m + j] = acc;
+    }
+  }
+  return c;
+}
+
+// gemm_tn_band over C rows [0, k) in bands of 5, 3, 7, 1, 5, 3, ... rows:
+// widths that split the 6- and 8-row register tiles unevenly.
+std::vector<float> gemm_tn_ragged_bands(const KernelTable& kt, const Matrix& a,
+                                        const Matrix& b) {
+  const std::size_t n = a.rows(), k = a.cols(), m = b.cols();
+  std::vector<float> c(k * m, -1.0f);
+  const std::size_t widths[] = {5, 3, 7, 1};
+  for (std::size_t lo = 0, w = 0; lo < k; ++w) {
+    const std::size_t hi = std::min(k, lo + widths[w % 4]);
+    kt.gemm_tn_band(a.flat().data(), b.flat().data(), c.data(), n, k, m, lo, hi);
+    lo = hi;
+  }
+  return c;
+}
+
+void expect_bitwise(const std::vector<float>& a, const std::vector<float>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (std::isnan(a[i]) || std::isnan(b[i])) {
+      EXPECT_TRUE(std::isnan(a[i]) && std::isnan(b[i])) << "at index " << i;
+    } else {
+      EXPECT_EQ(a[i], b[i]) << "at index " << i;
+      EXPECT_EQ(std::signbit(a[i]), std::signbit(b[i])) << "at index " << i;
+    }
+  }
+}
+
+// m = 29 leaves a column tail wider than one avx2 lane and a partial
+// second avx512 lane.
+struct TnShape {
+  std::size_t n, k, m;
+};
+
+std::vector<TnShape> tn_shapes() {
+  std::vector<TnShape> shapes;
+  for (std::size_t n : {1, 7, 64, 65}) {
+    for (std::size_t k : {1, 3, 5, 16, 64, 67}) {
+      for (std::size_t m : {1, 5, 16, 29, 33, 64}) shapes.push_back({n, k, m});
+    }
+  }
+  return shapes;
+}
+
+TEST(KernelParity, GemmTnSimdMatchesFmaChainBitwise) {
+  for (const KernelTable* kt : all_available_tables()) {
+    if (kt == &detail::scalar_table()) continue;
+    SCOPED_TRACE(kt->name);
+    for (const TnShape& s : tn_shapes()) {
+      SCOPED_TRACE(::testing::Message() << "n=" << s.n << " k=" << s.k << " m=" << s.m);
+      const Matrix a = random_matrix(s.n, s.k, 211 + s.k);
+      const Matrix b = random_matrix(s.n, s.m, 223 + s.m);
+      const std::vector<float> ref = gemm_tn_fma_reference(a, b);
+      std::vector<float> whole(s.k * s.m);
+      kt->gemm_tn_band(a.flat().data(), b.flat().data(), whole.data(), s.n, s.k, s.m, 0, s.k);
+      expect_bitwise(whole, ref);
+      expect_bitwise(gemm_tn_ragged_bands(*kt, a, b), ref);
+    }
+  }
+}
+
+TEST(KernelParity, GemmTnScalarIsBandIndependentAndNearFmaChain) {
+  const KernelTable& sc = detail::scalar_table();
+  for (const TnShape& s : tn_shapes()) {
+    SCOPED_TRACE(::testing::Message() << "n=" << s.n << " k=" << s.k << " m=" << s.m);
+    const Matrix a = random_matrix(s.n, s.k, 227 + s.k);
+    const Matrix b = random_matrix(s.n, s.m, 229 + s.m);
+    std::vector<float> whole(s.k * s.m);
+    sc.gemm_tn_band(a.flat().data(), b.flat().data(), whole.data(), s.n, s.k, s.m, 0, s.k);
+    expect_bitwise(gemm_tn_ragged_bands(sc, a, b), whole);
+    expect_close(whole, gemm_tn_fma_reference(a, b));
+  }
+}
+
+// Pre-activations with every edge of the exp-based derivatives: signed
+// zeros, NaN, infinities, the -87/88 clamp bounds and just past them,
+// then ordinary values. 53 entries, so prefixes cover ragged vector tails.
+std::vector<float> backward_inputs() {
+  std::vector<float> z = {0.0f,   -0.0f,  std::numeric_limits<float>::quiet_NaN(),
+                          std::numeric_limits<float>::infinity(),
+                          -std::numeric_limits<float>::infinity(),
+                          -87.0f, 88.0f, -87.5f, 88.5f, -86.9f, 87.9f, 1e-30f, -1e-30f};
+  const std::vector<float> extra = random_vec(40, 233);
+  for (float v : extra) z.push_back(6.0f * v);
+  return z;
+}
+
+TEST(KernelActivationBackward, MatchesDerivativeTimesUpstream) {
+  const std::vector<float> z = backward_inputs();
+  std::vector<float> dy = random_vec(z.size(), 239);
+  dy[3] = 0.0f;
+  dy[4] = -0.0f;
+  for (const KernelTable* kt : all_available_tables()) {
+    SCOPED_TRACE(kt->name);
+    const bool reference = kt == &detail::scalar_table();
+    for (Activation act : kAllActivations) {
+      SCOPED_TRACE(to_string(act));
+      for (std::size_t n : {1, 5, 8, 15, 16, 17, 31, 33, 53}) {
+        SCOPED_TRACE(::testing::Message() << "n=" << n);
+        std::vector<float> want(n), got(n, -7.0f);
+        for (std::size_t i = 0; i < n; ++i) want[i] = activate_derivative(act, z[i]) * dy[i];
+        kt->activate_backward(act, z.data(), dy.data(), got.data(), n);
+        if (reference) {
+          expect_bitwise(got, want);
+          continue;
+        }
+        for (std::size_t i = 0; i < n; ++i) {
+          if (std::isnan(want[i])) {
+            EXPECT_TRUE(std::isnan(got[i])) << "at index " << i;
+          } else {
+            const double tol = 2e-5 + 1e-5 * std::fabs(static_cast<double>(want[i]));
+            EXPECT_NEAR(got[i], want[i], tol) << "at index " << i;
+          }
+        }
       }
     }
   }

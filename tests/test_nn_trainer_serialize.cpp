@@ -3,12 +3,15 @@
 #include <cmath>
 #include <limits>
 #include <sstream>
+#include <vector>
 
+#include "gpufreq/nn/kernels/dispatch.hpp"
 #include "gpufreq/nn/scaler.hpp"
 #include "gpufreq/nn/serialize.hpp"
 #include "gpufreq/nn/trainer.hpp"
 #include "gpufreq/util/error.hpp"
 #include "gpufreq/util/rng.hpp"
+#include "gpufreq/util/thread_pool.hpp"
 
 namespace gpufreq::nn {
 namespace {
@@ -127,6 +130,47 @@ TEST(Trainer, DeterministicGivenSeeds) {
   ASSERT_EQ(ha.train_loss.size(), hb.train_loss.size());
   for (std::size_t i = 0; i < ha.train_loss.size(); ++i) {
     EXPECT_DOUBLE_EQ(ha.train_loss[i], hb.train_loss[i]);
+  }
+}
+
+// The paper architecture (3 x 64 SELU + linear) trained for a few epochs
+// must come out bitwise identical at every pool size on every backend:
+// each GEMM band, the weight gradient's included, owns its outputs and
+// accumulates them in a fixed order whatever the partition.
+TEST(Trainer, PaperArchitectureWeightsIndependentOfPoolSize) {
+  Rng rng(31);
+  Matrix x(500, 3), y(500, 1);
+  for (std::size_t i = 0; i < x.rows(); ++i) {
+    for (std::size_t c = 0; c < 3; ++c) x(i, c) = static_cast<float>(rng.uniform(-1.5, 1.5));
+    y(i, 0) = std::sin(x(i, 0)) + 0.5f * x(i, 1) * x(i, 2);
+  }
+  TrainConfig c;
+  c.epochs = 3;
+  std::vector<kernels::Backend> backends = {kernels::Backend::kScalar};
+  if (kernels::avx2_available()) backends.push_back(kernels::Backend::kAvx2);
+  if (kernels::avx512_available()) backends.push_back(kernels::Backend::kAvx512);
+  for (kernels::Backend backend : backends) {
+    SCOPED_TRACE(kernels::to_string(backend));
+    kernels::set_kernel_backend(backend);
+    std::vector<Network> trained;
+    for (std::size_t threads : {1, 4}) {
+      set_num_threads(threads);
+      Network net(3, Network::paper_architecture(), 11);
+      Trainer(c).fit(net, x, y);
+      trained.push_back(std::move(net));
+    }
+    set_num_threads(0);
+    kernels::set_kernel_backend(kernels::Backend::kAuto);
+    const Network& a = trained[0];
+    const Network& b = trained[1];
+    ASSERT_EQ(a.num_layers(), b.num_layers());
+    for (std::size_t l = 0; l < a.num_layers(); ++l) {
+      SCOPED_TRACE(::testing::Message() << "layer " << l);
+      const auto wa = a.layer(l).weights().flat(), wb = b.layer(l).weights().flat();
+      ASSERT_EQ(wa.size(), wb.size());
+      for (std::size_t i = 0; i < wa.size(); ++i) EXPECT_EQ(wa[i], wb[i]) << "weight " << i;
+      EXPECT_EQ(a.layer(l).bias(), b.layer(l).bias());
+    }
   }
 }
 
