@@ -44,6 +44,15 @@ struct SweepCacheStats {
 /// without touching the GEMM chain; because the serving pipeline is
 /// deterministic, an exact-key hit is bitwise-identical to recomputing.
 ///
+/// A request's identity is its Probe: 15 key words plus a word hash that
+/// also mixes in a grid fingerprint (length, first, middle and last
+/// element). make_probe() derives it; find() scans the probed set,
+/// comparing the stored hash, then the key words, then every grid bit, so
+/// neither a hash collision nor a fingerprint collision can serve a wrong
+/// curve. same_identity() applies the same full compare to two probes;
+/// the sweep service dedupes each drain batch with it, so in-batch
+/// coalescing and the cross-drain cache share one key.
+///
 /// Epoch / backend / precision are folded into the key (two opaque context
 /// words supplied by the caller), so a model hot-swap invalidates the
 /// whole cache wholesale simply by never matching stale entries again;
@@ -59,13 +68,13 @@ class SweepCurveCache {
   /// Number of key words: 12 counters + t_max + epoch + backend/precision.
   static constexpr std::size_t kKeyWords = 15;
 
-  /// Carries the computed key between a lookup miss and the insert of the
-  /// freshly computed curve, so the key is derived exactly once.
+  /// A request's identity, derived once by make_probe() and carried from
+  /// a lookup miss to the insert of the freshly computed curve.
   struct Probe {
     std::uint64_t key[kKeyWords] = {};
-    std::uint64_t hash = 0;
+    std::uint64_t hash = 0;  ///< word hash of the key and the grid fingerprint
     std::uint32_t set = 0;
-    bool cacheable = false;  ///< false: grid too long or cache disabled
+    bool cacheable = false;  ///< false: grid empty or too long, or cache disabled
   };
 
   /// Borrowed view of a cached curve. Valid until the next insert() or
@@ -88,15 +97,32 @@ class SweepCurveCache {
   /// Total entry capacity (sets * ways).
   std::size_t capacity() const { return sets_ * ways_; }
 
-  /// Probe for the curve of (counters, t_max, grid) under the caller's
-  /// (epoch, context) identity words. `grid` is the request's frequency
-  /// list in submitted order; it is compared exactly (full bit compare, no
-  /// hash-only matching — a hash collision must never serve a wrong
-  /// curve). Fills `probe` for a follow-up insert() on miss. Never
-  /// allocates.
+  /// Derive the identity of (counters, t_max, grid) under the caller's
+  /// (epoch, context) words. `grid` is the request's frequency list in
+  /// submitted order. Works on a disabled cache too (cacheable = false).
+  /// Quantized-key rounding applies only to cacheable probes, so a request
+  /// that bypasses the cache is always identified by its exact bits.
+  /// Touches neither the sets nor the stats; never allocates.
+  void make_probe(const sim::CounterSet& counters, double measured_time_at_max_s,
+                  std::span<const double> grid, std::uint64_t epoch, std::uint64_t context,
+                  Probe& probe) const;
+
+  /// Scan the probed set for `probe`, made by make_probe() from this same
+  /// `grid`: stored hash first, then the key words, then the full grid bit
+  /// compare. Counts a hit or a miss. Never allocates.
+  LookupResult find(const Probe& probe, std::span<const double> grid);
+
+  /// make_probe() then find(). Fills `probe` for a follow-up insert() on
+  /// miss. Never allocates.
   LookupResult lookup(const sim::CounterSet& counters, double measured_time_at_max_s,
                       std::span<const double> grid, std::uint64_t epoch, std::uint64_t context,
                       Probe& probe);
+
+  /// True when two probes name the same computation: equal hash, key words
+  /// and grid bits. Grids that share a data pointer are equal without a
+  /// compare.
+  static bool same_identity(const Probe& a, std::span<const double> grid_a, const Probe& b,
+                            std::span<const double> grid_b);
 
   /// Install the computed curve for a missed probe (LRU victim within the
   /// probed set; overwriting a valid entry counts as an eviction). The
@@ -123,6 +149,7 @@ class SweepCurveCache {
  private:
   struct Entry {
     std::uint64_t key[kKeyWords] = {};
+    std::uint64_t hash = 0;
     std::uint64_t tick = 0;   ///< LRU stamp (updated on hit and insert)
     std::uint32_t rows = 0;
     bool valid = false;

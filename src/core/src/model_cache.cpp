@@ -116,18 +116,18 @@ std::optional<PowerTimeModels> ModelCache::load(const std::string& key) const {
   const std::string path = path_for(key);
   std::error_code ec;
   if (!fs::exists(path, ec)) {
-    MutexLock lock(mutex_);
+    MutexGuard lock(mutex_);
     ++stats_.misses;
     return std::nullopt;
   }
   try {
     PowerTimeModels models = load_models(path);
-    MutexLock lock(mutex_);
+    MutexGuard lock(mutex_);
     ++stats_.hits;
     return models;
   } catch (const Error& e) {
     log::warn("core") << "ignoring unreadable model cache entry " << path << ": " << e.what();
-    MutexLock lock(mutex_);
+    MutexGuard lock(mutex_);
     ++stats_.misses;
     return std::nullopt;
   }
@@ -137,19 +137,19 @@ void ModelCache::store(const std::string& key, const PowerTimeModels& models) co
   std::error_code ec;
   fs::create_directories(dir_, ec);
   save_models(models, path_for(key));
-  MutexLock lock(mutex_);
+  MutexGuard lock(mutex_);
   ++stats_.stores;
 }
 
 void ModelCache::invalidate(const std::string& key) const {
   std::error_code ec;
   fs::remove(path_for(key), ec);
-  MutexLock lock(mutex_);
+  MutexGuard lock(mutex_);
   ++stats_.invalidations;
 }
 
 CacheStats ModelCache::stats() const {
-  MutexLock lock(mutex_);
+  MutexGuard lock(mutex_);
   return stats_;
 }
 

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstring>
+#include <type_traits>
 
 #include "gpufreq/util/error.hpp"
 #include "gpufreq/util/hot_path.hpp"
@@ -12,17 +14,19 @@ namespace {
 
 std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
 
-/// FNV-1a over 64-bit words; cheap, deterministic, and only a filter — the
-/// probe always finishes with a full key + grid bit compare.
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ull;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ull;
+/// One multiply-xorshift step per 64-bit word. The hash is only a filter
+/// and a set index: every match is confirmed by a full key and grid
+/// compare.
+constexpr std::uint64_t kMixMul = 0x9e3779b97f4a7c15ull;
 
-std::uint64_t fnv_word(std::uint64_t h, std::uint64_t w) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (w >> (8 * i)) & 0xffull;
-    h *= kFnvPrime;
-  }
-  return h;
+std::uint64_t mix(std::uint64_t h, std::uint64_t w) {
+  h = (h ^ w) * kMixMul;
+  return h ^ (h >> 32);
+}
+
+/// Bitwise equality of two equally long double arrays.
+bool same_bits(const double* a, const double* b, std::size_t n) {
+  return n == 0 || std::memcmp(a, b, n * sizeof(double)) == 0;
 }
 
 std::size_t round_up_pow2(std::size_t n) {
@@ -59,67 +63,52 @@ SweepCurveCache::SweepCurveCache(const SweepCacheConfig& config) {
   slab_.assign(sets_ * ways_ * kBands * max_rows_, 0.0);
 }
 
-SweepCurveCache::LookupResult SweepCurveCache::lookup(const sim::CounterSet& counters,
-                                                      double measured_time_at_max_s,
-                                                      std::span<const double> grid,
-                                                      std::uint64_t epoch, std::uint64_t context,
-                                                      Probe& probe) {
-  GPUFREQ_HOT("gpufreq::core::SweepCurveCache::lookup");
-  probe.cacheable = false;
-  if (sets_ == 0 || grid.empty() || grid.size() > max_rows_) {
-    ++stats_.misses;
-    return {};
-  }
+void SweepCurveCache::make_probe(const sim::CounterSet& counters, double measured_time_at_max_s,
+                                 std::span<const double> grid, std::uint64_t epoch,
+                                 std::uint64_t context, Probe& probe) const {
+  static_assert(std::is_trivially_copyable_v<sim::CounterSet> &&
+                    sizeof(sim::CounterSet) == 12 * sizeof(double),
+                "the key copies CounterSet as exactly its 12 double fields");
+  probe.cacheable = sets_ > 0 && !grid.empty() && grid.size() <= max_rows_;
+  const unsigned key_bits = probe.cacheable ? key_bits_ : 0;
 
   // Key: the 12 counter bit patterns and t_max (both rounded in
-  // quantized-key mode), then the exact model-identity words. The grid is
-  // keyed outside the fixed words — hashed here, compared in full below.
+  // quantized-key mode), then the exact model-identity words.
   std::uint64_t* k = probe.key;
-  k[0] = quantize_bits(bits(counters.fp64_active), key_bits_);
-  k[1] = quantize_bits(bits(counters.fp32_active), key_bits_);
-  k[2] = quantize_bits(bits(counters.sm_app_clock), key_bits_);
-  k[3] = quantize_bits(bits(counters.dram_active), key_bits_);
-  k[4] = quantize_bits(bits(counters.gr_engine_active), key_bits_);
-  k[5] = quantize_bits(bits(counters.gpu_utilization), key_bits_);
-  k[6] = quantize_bits(bits(counters.power_usage), key_bits_);
-  k[7] = quantize_bits(bits(counters.sm_active), key_bits_);
-  k[8] = quantize_bits(bits(counters.sm_occupancy), key_bits_);
-  k[9] = quantize_bits(bits(counters.pcie_tx_bytes), key_bits_);
-  k[10] = quantize_bits(bits(counters.pcie_rx_bytes), key_bits_);
-  k[11] = quantize_bits(bits(counters.exec_time), key_bits_);
-  k[12] = quantize_bits(bits(measured_time_at_max_s), key_bits_);
+  std::memcpy(k, &counters, sizeof counters);
+  k[12] = bits(measured_time_at_max_s);
+  if (key_bits != 0)
+    for (std::size_t i = 0; i < 13; ++i) k[i] = quantize_bits(k[i], key_bits);
   k[13] = epoch;
   k[14] = context;
 
-  std::uint64_t h = kFnvOffset;
-  for (std::size_t i = 0; i < kKeyWords; ++i) h = fnv_word(h, k[i]);
-  h = fnv_word(h, static_cast<std::uint64_t>(grid.size()));
-  for (const double f : grid) h = fnv_word(h, bits(f));
-
+  // The grid enters the hash through a fingerprint (length, first, middle
+  // and last element); every comparison still checks all of its bits.
+  std::uint64_t h = 0;
+  for (std::size_t i = 0; i < kKeyWords; ++i) h = mix(h, k[i]);
+  h = mix(h, static_cast<std::uint64_t>(grid.size()));
+  if (!grid.empty()) {
+    h = mix(h, bits(grid.front()));
+    h = mix(h, bits(grid[grid.size() / 2]));
+    h = mix(h, bits(grid.back()));
+  }
   probe.hash = h;
-  probe.set = static_cast<std::uint32_t>(h & (sets_ - 1));
-  probe.cacheable = true;
+  probe.set = sets_ > 0 ? static_cast<std::uint32_t>(h & (sets_ - 1)) : 0;
+}
 
+SweepCurveCache::LookupResult SweepCurveCache::find(const Probe& probe,
+                                                    std::span<const double> grid) {
+  if (!probe.cacheable) {
+    ++stats_.misses;
+    return {};
+  }
   const std::size_t base = static_cast<std::size_t>(probe.set) * ways_;
   for (std::size_t w = 0; w < ways_; ++w) {
     Entry& e = entries_[base + w];
-    if (!e.valid || e.rows != grid.size()) continue;
-    bool match = true;
-    for (std::size_t i = 0; i < kKeyWords; ++i) {
-      if (e.key[i] != k[i]) {
-        match = false;
-        break;
-      }
-    }
-    if (!match) continue;
-    const double* kgrid = slab_.data() + band_offset(base + w, 0);
-    for (std::size_t i = 0; i < grid.size(); ++i) {
-      if (bits(kgrid[i]) != bits(grid[i])) {
-        match = false;
-        break;
-      }
-    }
-    if (!match) continue;
+    if (!e.valid || e.hash != probe.hash || e.rows != grid.size() ||
+        std::memcmp(e.key, probe.key, sizeof e.key) != 0 ||
+        !same_bits(slab_.data() + band_offset(base + w, 0), grid.data(), grid.size()))
+      continue;
 
     e.tick = ++tick_;
     ++stats_.hits;
@@ -134,6 +123,24 @@ SweepCurveCache::LookupResult SweepCurveCache::lookup(const sim::CounterSet& cou
 
   ++stats_.misses;
   return {};
+}
+
+SweepCurveCache::LookupResult SweepCurveCache::lookup(const sim::CounterSet& counters,
+                                                      double measured_time_at_max_s,
+                                                      std::span<const double> grid,
+                                                      std::uint64_t epoch, std::uint64_t context,
+                                                      Probe& probe) {
+  GPUFREQ_HOT("gpufreq::core::SweepCurveCache::lookup");
+  make_probe(counters, measured_time_at_max_s, grid, epoch, context, probe);
+  return find(probe, grid);
+}
+
+bool SweepCurveCache::same_identity(const Probe& a, std::span<const double> grid_a,
+                                    const Probe& b, std::span<const double> grid_b) {
+  return a.hash == b.hash && grid_a.size() == grid_b.size() &&
+         std::memcmp(a.key, b.key, sizeof a.key) == 0 &&
+         (grid_a.data() == grid_b.data() ||
+          same_bits(grid_a.data(), grid_b.data(), grid_a.size()));
 }
 
 void SweepCurveCache::insert(const Probe& probe, std::span<const double> grid,
@@ -162,6 +169,7 @@ void SweepCurveCache::insert(const Probe& probe, std::span<const double> grid,
   if (e.valid) ++stats_.evictions;
 
   std::copy(probe.key, probe.key + kKeyWords, e.key);
+  e.hash = probe.hash;
   e.rows = static_cast<std::uint32_t>(rows);
   e.tick = ++tick_;
   e.valid = true;

@@ -5,6 +5,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "gpufreq/serve/workload_descriptor.hpp"
@@ -21,7 +22,8 @@ struct SweepRequest {
   sim::CounterSet counters;             ///< counters measured at f_max
   double measured_time_at_max_s = 0.0;  ///< wall time of that execution
   /// Frequency grid to sweep (any order; the service sorts ascending).
-  /// Empty means "use the service's default grid".
+  /// Empty means "use the service's default grid"; otherwise every entry
+  /// must be finite and > 0 (SweepService::submit rejects the request).
   std::vector<double> frequencies;
 };
 
@@ -61,8 +63,12 @@ struct SweepSlot {
   WorkloadDescriptor descriptor;
   sim::CounterSet counters;
   double measured_time_at_max_s = 0.0;
-  std::vector<double> frequencies;  ///< owned copy, as submitted
-  std::uint64_t sequence = 0;       ///< FIFO tiebreak within a band
+  /// The grid to sweep, as submitted: a view of custom_frequencies, or of
+  /// the service-owned default grid when the request carried none (the
+  /// drain only reads it while the service is alive).
+  std::span<const double> frequencies;
+  std::vector<double> custom_frequencies;  ///< owned copy of a request's own grid
+  std::uint64_t sequence = 0;              ///< FIFO tiebreak within a band
   std::chrono::steady_clock::time_point enqueued_at{};
 
   // --- completion handshake -------------------------------------------

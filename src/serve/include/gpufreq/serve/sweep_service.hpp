@@ -18,15 +18,20 @@ namespace gpufreq::serve {
 
 /// Tuning knobs for SweepService.
 struct ServiceConfig {
-  /// Max requests fused into one batched sweep per drain.
+  /// Max requests fused into one batched sweep per drain. Requests in one
+  /// batch with the same cache identity (SweepCurveCache::Probe: counter
+  /// and t_max bits, grid bits, model epoch, backend and precision) are
+  /// always coalesced: one item is computed or served from the cache, and
+  /// its bitwise-equal curves are copied to the duplicates. Fleet nodes
+  /// running the same app catalog submit such identical requests. In the
+  /// opt-in quantized-key mode (cache.key_bits > 0) coalescing follows the
+  /// quantized key, i.e. a duplicate gets the curve a later drain would
+  /// serve it from the cache anyway.
   std::size_t max_batch = 128;
-  /// Coalesce bit-identical requests within a batch: compute one item,
-  /// copy its (bitwise-equal) curves to the duplicates. This is where the
-  /// multi-tenant win comes from — fleet nodes running the same app
-  /// catalog submit identical (counters, t_max, grid) requests.
-  bool coalesce_identical = true;
   /// Default frequency grid for requests that do not carry their own.
   /// Empty selects the GPU's used frequencies (the paper's 61 configs).
+  /// Requests without a grid hold a view of this one; only custom grids
+  /// are copied at submit.
   std::vector<double> frequencies;
   /// Inference precision for every drained batch (default: the session
   /// default, GPUFREQ_PRECISION). kInt8 requires the published snapshots'
@@ -36,8 +41,9 @@ struct ServiceConfig {
   /// Sweep-curve cache shape (core::SweepCacheConfig). The default keeps
   /// a 512-entry exact-key cache: repeat requests across drains skip the
   /// GEMM chain entirely and are served bitwise-identical curves.
-  /// cache.sets = 0 disables memoization; cache.key_bits > 0 opts into
-  /// the quantized-key mode (see SweepCacheConfig).
+  /// cache.sets = 0 disables memoization (in-batch coalescing stays on);
+  /// cache.key_bits > 0 opts into the quantized-key mode (see
+  /// SweepCacheConfig).
   core::SweepCacheConfig cache;
   /// Upper bound on the number of workspace shards a drain fans uncached
   /// unique items across on the deterministic thread pool. Each shard
@@ -87,6 +93,9 @@ class SweepService {
   SweepService& operator=(const SweepService&) = delete;
 
   /// Enqueue a request; returns immediately with a waitable ticket.
+  /// Throws InvalidArgument, and enqueues nothing, unless all 12 counters
+  /// and measured_time_at_max_s are finite, measured_time_at_max_s > 0,
+  /// and every entry of a custom grid is finite and > 0.
   SweepTicket submit(SweepRequest request) GPUFREQ_EXCLUDES(mutex_);
 
   /// Serve one batch synchronously on the calling thread. Returns the
@@ -127,10 +136,12 @@ class SweepService {
   std::vector<std::uint32_t> rep_ GPUFREQ_GUARDED_BY(drain_mutex_);      ///< request -> item
   std::vector<std::uint32_t> unique_ GPUFREQ_GUARDED_BY(drain_mutex_);   ///< item -> request
   std::vector<std::uint32_t> group_size_ GPUFREQ_GUARDED_BY(drain_mutex_);
-  // Cache bookkeeping per unique item (probe carried from lookup to the
-  // post-compute insert; hit flag; miss ordinal into miss_items_).
+  // Per unique item: its identity (also carried to the post-compute
+  // insert), its curves (a cache hit view or a shard workspace slice), its
+  // min-energy pick, and its miss ordinal into miss_items_.
   std::vector<core::SweepCurveCache::Probe> probes_ GPUFREQ_GUARDED_BY(drain_mutex_);
-  std::vector<std::uint8_t> hit_ GPUFREQ_GUARDED_BY(drain_mutex_);
+  std::vector<core::SweepCurveCache::LookupResult> curves_ GPUFREQ_GUARDED_BY(drain_mutex_);
+  std::vector<double> picks_ GPUFREQ_GUARDED_BY(drain_mutex_);
   std::vector<std::uint32_t> miss_of_ GPUFREQ_GUARDED_BY(drain_mutex_);
   std::vector<core::BatchSweepItem> miss_items_ GPUFREQ_GUARDED_BY(drain_mutex_);
   // One workspace per drain shard; shard s computes miss items

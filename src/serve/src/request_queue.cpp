@@ -9,7 +9,7 @@ namespace gpufreq::serve {
 
 bool SweepTicket::done() const {
   GPUFREQ_REQUIRE(slot_ != nullptr, "SweepTicket: empty ticket");
-  MutexLock lock(slot_->mutex);
+  MutexGuard lock(slot_->mutex);
   return slot_->done;
 }
 

@@ -18,13 +18,13 @@ void require_trained(const std::shared_ptr<const core::PowerTimeModels>& models,
 
 ModelSnapshotHolder::ModelSnapshotHolder(std::shared_ptr<const core::PowerTimeModels> initial) {
   require_trained(initial, "ModelSnapshotHolder");
-  MutexLock lock(mutex_);
+  MutexGuard lock(mutex_);
   current_ = std::move(initial);
 }
 
 void ModelSnapshotHolder::publish(std::shared_ptr<const core::PowerTimeModels> next) {
   require_trained(next, "ModelSnapshotHolder::publish");
-  MutexLock lock(mutex_);
+  MutexGuard lock(mutex_);
   current_ = std::move(next);
   // Release: a reader that observes the new epoch and then locks mutex_
   // is guaranteed to copy the new pointer (the store happens under the
@@ -33,7 +33,7 @@ void ModelSnapshotHolder::publish(std::shared_ptr<const core::PowerTimeModels> n
 }
 
 std::shared_ptr<const core::PowerTimeModels> ModelSnapshotHolder::snapshot() const {
-  MutexLock lock(mutex_);
+  MutexGuard lock(mutex_);
   return current_;
 }
 
@@ -52,7 +52,7 @@ __attribute__((cold, noinline))
 #endif
 void SnapshotCache::refresh(const ModelSnapshotHolder& holder, nn::Precision precision) {
   {
-    MutexLock lock(holder.mutex_);
+    MutexGuard lock(holder.mutex_);
     pinned_ = holder.current_;
     // Re-read under the lock: publish() bumps the epoch under the same
     // mutex, so this pairs the pinned pointer with its exact epoch even

@@ -1,7 +1,7 @@
 #include "gpufreq/serve/sweep_service.hpp"
 
 #include <algorithm>
-#include <bit>
+#include <cmath>
 #include <memory>
 #include <utility>
 
@@ -16,29 +16,35 @@ namespace gpufreq::serve {
 
 namespace {
 
-std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+/// True when all 12 counters and t_max are finite and t_max is positive.
+bool valid_profile(const sim::CounterSet& counters, double measured_time_at_max_s) {
+  for (auto id = static_cast<int>(sim::MetricId::kFp64Active);
+       id <= static_cast<int>(sim::MetricId::kExecTime); ++id)
+    if (!std::isfinite(counters.value(static_cast<sim::MetricId>(id)))) return false;
+  return std::isfinite(measured_time_at_max_s) && measured_time_at_max_s > 0.0;
+}
 
-/// Bitwise equality of the computation inputs (NOT the scheduling tag):
-/// two requests coalesce exactly when every input bit matches, which is
-/// precisely the condition under which the fused sweep would produce
-/// bit-identical rows for both.
-bool same_computation(const detail::SweepSlot& a, const detail::SweepSlot& b) {
-  if (bits(a.measured_time_at_max_s) != bits(b.measured_time_at_max_s)) return false;
-  if (a.frequencies.size() != b.frequencies.size()) return false;
-  const sim::CounterSet& x = a.counters;
-  const sim::CounterSet& y = b.counters;
-  if (bits(x.fp64_active) != bits(y.fp64_active) || bits(x.fp32_active) != bits(y.fp32_active) ||
-      bits(x.sm_app_clock) != bits(y.sm_app_clock) || bits(x.dram_active) != bits(y.dram_active) ||
-      bits(x.gr_engine_active) != bits(y.gr_engine_active) ||
-      bits(x.gpu_utilization) != bits(y.gpu_utilization) ||
-      bits(x.power_usage) != bits(y.power_usage) || bits(x.sm_active) != bits(y.sm_active) ||
-      bits(x.sm_occupancy) != bits(y.sm_occupancy) ||
-      bits(x.pcie_tx_bytes) != bits(y.pcie_tx_bytes) ||
-      bits(x.pcie_rx_bytes) != bits(y.pcie_rx_bytes) || bits(x.exec_time) != bits(y.exec_time))
-    return false;
-  for (std::size_t i = 0; i < a.frequencies.size(); ++i)
-    if (bits(a.frequencies[i]) != bits(b.frequencies[i])) return false;
-  return true;
+// Request slots are allocated at submit and are cold by the time a drain
+// reaches them, so the two per-request loops of the drain prefetch the
+// slot a few requests ahead: its inputs before the probe, its outcome
+// buffers (for writing) before the publish copy.
+constexpr std::size_t kProbeAhead = 4;
+constexpr std::size_t kPublishAhead = 2;
+constexpr std::size_t kCacheLine = 64;
+
+void prefetch_request(const detail::SweepSlot& slot) {
+  __builtin_prefetch(&slot.counters);
+  __builtin_prefetch(&slot.counters.exec_time);
+  __builtin_prefetch(&slot.frequencies);
+}
+
+void prefetch_outcome(const SweepOutcome& out) {
+  for (const std::vector<double>* v :
+       {&out.frequencies, &out.power_w, &out.time_s, &out.energy_j}) {
+    const char* p = reinterpret_cast<const char*>(v->data());
+    for (std::size_t b = 0; b < v->capacity() * sizeof(double); b += kCacheLine)
+      __builtin_prefetch(p + b, 1);
+  }
 }
 
 double seconds_between(std::chrono::steady_clock::time_point from,
@@ -71,7 +77,8 @@ SweepService::SweepService(const ModelSnapshotHolder& models, sim::GpuSpec spec,
   unique_.reserve(config_.max_batch);
   group_size_.reserve(config_.max_batch);
   probes_.reserve(config_.max_batch);
-  hit_.reserve(config_.max_batch);
+  curves_.reserve(config_.max_batch);
+  picks_.reserve(config_.max_batch);
   miss_of_.reserve(config_.max_batch);
   miss_items_.reserve(config_.max_batch);
   shard_count_ = config_.drain_shards != 0 ? config_.drain_shards : num_threads();
@@ -82,15 +89,23 @@ SweepService::SweepService(const ModelSnapshotHolder& models, sim::GpuSpec spec,
 SweepService::~SweepService() { stop(); }
 
 SweepTicket SweepService::submit(SweepRequest request) {
-  GPUFREQ_REQUIRE(request.measured_time_at_max_s > 0.0,
-                  "SweepService: measured time must be positive");
+  GPUFREQ_REQUIRE(valid_profile(request.counters, request.measured_time_at_max_s),
+                  "SweepService: counters and measured time must be finite, and the measured "
+                  "time positive");
+  GPUFREQ_REQUIRE(std::all_of(request.frequencies.begin(), request.frequencies.end(),
+                              [](double f) { return std::isfinite(f) && f > 0.0; }),
+                  "SweepService: grid frequencies must be finite and positive");
   auto slot = std::make_shared<detail::SweepSlot>();
   slot->descriptor = request.descriptor;
   (void)slot->descriptor.priority();  // validates the band range
   slot->counters = request.counters;
   slot->measured_time_at_max_s = request.measured_time_at_max_s;
-  slot->frequencies =
-      request.frequencies.empty() ? config_.frequencies : std::move(request.frequencies);
+  if (request.frequencies.empty()) {
+    slot->frequencies = config_.frequencies;
+  } else {
+    slot->custom_frequencies = std::move(request.frequencies);
+    slot->frequencies = slot->custom_frequencies;
+  }
   // Pre-size the outcome so the drain loop's result copies never allocate.
   const std::size_t rows = slot->frequencies.size();
   slot->outcome.frequencies.reserve(rows);
@@ -100,7 +115,7 @@ SweepTicket SweepService::submit(SweepRequest request) {
   slot->enqueued_at = std::chrono::steady_clock::now();
 
   {
-    MutexLock lock(mutex_);
+    MutexGuard lock(mutex_);
     GPUFREQ_REQUIRE(!stopping_, "SweepService: submit after stop");
     queue_.push(slot);
     ++stats_.submitted;
@@ -110,7 +125,7 @@ SweepTicket SweepService::submit(SweepRequest request) {
 }
 
 std::size_t SweepService::drain_once() {
-  MutexLock drain(drain_mutex_);
+  MutexGuard drain(drain_mutex_);
   return drain_locked();
 }
 
@@ -118,7 +133,7 @@ std::size_t SweepService::drain_locked() {
   GPUFREQ_HOT("gpufreq::serve::SweepService::drain_locked");
   batch_.clear();
   {
-    MutexLock lock(mutex_);
+    MutexGuard lock(mutex_);
     while (batch_.size() < config_.max_batch && !queue_.empty())
       gpufreq::detail::workspace_push(batch_, queue_.pop());
   }
@@ -138,31 +153,31 @@ std::size_t SweepService::drain_locked() {
       (static_cast<std::uint64_t>(config_.precision) & 0x3u);
   const bool use_cache = cache_.enabled();
 
-  // Coalesce bit-identical requests into shared items, probing the curve
-  // cache once per unique item. O(B * U) exact compares; B <= max_batch
-  // keeps this far below the GEMM cost, and the scan is deterministic (no
-  // hashing on the coalesce side). Hit curves are copied into the
-  // representative's outcome immediately: a LookupResult view is only
-  // valid until the next insert, and the post-compute inserts below may
-  // evict the very entry that just hit.
+  // One identity per request: its cache probe, derived once here (cache
+  // on or off). Requests group in submission order by that probe (hash,
+  // then key words, then grid bits), and each unique item probes the
+  // curve cache once. A hit is held as a view into the cache: no insert
+  // runs until every outcome has been copied out below.
   rep_.clear();
   unique_.clear();
   group_size_.clear();
   probes_.clear();
-  hit_.clear();
+  curves_.clear();
+  picks_.clear();
   miss_of_.clear();
   miss_items_.clear();
+  core::SweepCurveCache::Probe probe;
   for (std::size_t i = 0; i < batch_.size(); ++i) {
     detail::SweepSlot& slot = *batch_[i];
-    std::size_t u = unique_.size();
-    if (config_.coalesce_identical) {
-      for (std::size_t j = 0; j < unique_.size(); ++j) {
-        if (same_computation(*batch_[unique_[j]], slot)) {
-          u = j;
-          break;
-        }
-      }
-    }
+    if (i + kProbeAhead < batch_.size()) prefetch_request(*batch_[i + kProbeAhead]);
+    cache_.make_probe(slot.counters, slot.measured_time_at_max_s, slot.frequencies, epoch,
+                      context, probe);
+    std::size_t u = 0;  // the hash test inline skips the call for most non-matches
+    while (u < unique_.size() &&
+           (probes_[u].hash != probe.hash ||
+            !core::SweepCurveCache::same_identity(probes_[u], batch_[unique_[u]]->frequencies,
+                                                  probe, slot.frequencies)))
+      ++u;
     gpufreq::detail::workspace_push(rep_, static_cast<std::uint32_t>(u));
     if (u != unique_.size()) {
       ++group_size_[u];
@@ -170,22 +185,13 @@ std::size_t SweepService::drain_locked() {
     }
     gpufreq::detail::workspace_push(unique_, static_cast<std::uint32_t>(i));
     gpufreq::detail::workspace_push(group_size_, std::uint32_t{1});
-    gpufreq::detail::workspace_push(probes_, core::SweepCurveCache::Probe{});
-    gpufreq::detail::workspace_push(hit_, std::uint8_t{0});
+    gpufreq::detail::workspace_push(probes_, probe);
+    gpufreq::detail::workspace_push(curves_, core::SweepCurveCache::LookupResult{});
+    gpufreq::detail::workspace_push(picks_, 0.0);
     gpufreq::detail::workspace_push(miss_of_, std::uint32_t{0});
     if (use_cache) {
-      const core::SweepCurveCache::LookupResult r =
-          cache_.lookup(slot.counters, slot.measured_time_at_max_s, slot.frequencies, epoch,
-                        context, probes_.back());
-      if (r.hit) {
-        hit_.back() = 1;
-        SweepOutcome& out = slot.outcome;
-        assign(out.frequencies, r.frequencies);
-        assign(out.power_w, r.power_w);
-        assign(out.time_s, r.time_s);
-        assign(out.energy_j, r.energy_j);
-        continue;
-      }
+      curves_.back() = cache_.find(probe, slot.frequencies);
+      if (curves_.back().hit) continue;
     }
     miss_of_.back() = static_cast<std::uint32_t>(miss_items_.size());
     gpufreq::detail::workspace_push(
@@ -210,24 +216,60 @@ std::size_t SweepService::drain_locked() {
           std::span<const core::BatchSweepItem>(miss_items_.data() + lo, hi - lo), spec_,
           shard_ws_[lo / grain]);
     });
-    if (use_cache) {
-      for (std::size_t u = 0; u < unique_.size(); ++u) {
-        if (hit_[u] != 0) continue;
-        const std::size_t m = miss_of_[u];
-        const core::BatchSweepWorkspace& sws = shard_ws_[m / grain];
-        const std::size_t local = m % grain;
-        cache_.insert(probes_[u], batch_[unique_[u]]->frequencies, sws.item_frequencies(local),
-                      sws.item_power(local), sws.item_time(local), sws.item_energy(local));
-      }
+  }
+  // Every unique item's curves, from the cache or its shard workspace, and
+  // its min-energy pick, once per item.
+  for (std::size_t u = 0; u < unique_.size(); ++u) {
+    core::SweepCurveCache::LookupResult& c = curves_[u];
+    if (!c.hit) {
+      const std::size_t m = miss_of_[u];
+      const core::BatchSweepWorkspace& sws = shard_ws_[m / shard_grain_];
+      const std::size_t local = m % shard_grain_;
+      c.frequencies = sws.item_frequencies(local);
+      c.power_w = sws.item_power(local);
+      c.time_s = sws.item_time(local);
+      c.energy_j = sws.item_energy(local);
+    }
+    picks_[u] = c.frequencies[stats::argmin(c.energy_j)];
+  }
+
+  // Publish every outcome straight from its source, while the hit views
+  // are still valid.
+  const auto completed = std::chrono::steady_clock::now();
+  const std::size_t served = batch_.size();
+  for (std::size_t i = 0; i < served; ++i) {
+    detail::SweepSlot& slot = *batch_[i];
+    if (i + kPublishAhead < served) prefetch_outcome(batch_[i + kPublishAhead]->outcome);
+    const std::size_t u = rep_[i];
+    const core::SweepCurveCache::LookupResult& c = curves_[u];
+    SweepOutcome& out = slot.outcome;
+    assign(out.frequencies, c.frequencies);
+    assign(out.power_w, c.power_w);
+    assign(out.time_s, c.time_s);
+    assign(out.energy_j, c.energy_j);
+    out.min_energy_frequency_mhz = picks_[u];
+    out.queue_latency_s = seconds_between(slot.enqueued_at, picked_up);
+    out.total_latency_s = seconds_between(slot.enqueued_at, completed);
+    out.batch_size = served;
+    out.model_epoch = epoch;
+    out.coalesced = group_size_[u] > 1;
+    out.cache_hit = c.hit;
+  }
+  // Now the misses may enter the cache (an insert can evict a way this
+  // drain hit; nothing reads those views any more).
+  if (use_cache) {
+    for (std::size_t u = 0; u < unique_.size(); ++u) {
+      const core::SweepCurveCache::LookupResult& c = curves_[u];
+      if (c.hit) continue;
+      cache_.insert(probes_[u], batch_[unique_[u]]->frequencies, c.frequencies, c.power_w,
+                    c.time_s, c.energy_j);
     }
   }
 
-  const auto completed = std::chrono::steady_clock::now();
-  const std::size_t served = batch_.size();
   // Account the batch BEFORE flipping any slot's done bit: a waiter that
   // observes its completion must already see it reflected in stats().
   {
-    MutexLock lock(mutex_);
+    MutexGuard lock(mutex_);
     stats_.completed += served;
     ++stats_.batches;
     stats_.unique_items += unique_.size();
@@ -238,38 +280,10 @@ std::size_t SweepService::drain_locked() {
     stats_.cache_misses = cache_.stats().misses;
     stats_.cache_evictions = cache_.stats().evictions;
   }
-  for (std::size_t i = 0; i < batch_.size(); ++i) {
-    detail::SweepSlot& slot = *batch_[i];
-    const std::size_t u = rep_[i];
-    SweepOutcome& out = slot.outcome;
-    if (hit_[u] != 0) {
-      // The representative's outcome was filled at probe time; coalesced
-      // members copy its (bitwise-equal) curves.
-      if (i != unique_[u]) {
-        const SweepOutcome& src = batch_[unique_[u]]->outcome;
-        assign(out.frequencies, std::span<const double>(src.frequencies));
-        assign(out.power_w, std::span<const double>(src.power_w));
-        assign(out.time_s, std::span<const double>(src.time_s));
-        assign(out.energy_j, std::span<const double>(src.energy_j));
-      }
-    } else {
-      const std::size_t m = miss_of_[u];
-      const core::BatchSweepWorkspace& sws = shard_ws_[m / shard_grain_];
-      const std::size_t local = m % shard_grain_;
-      assign(out.frequencies, sws.item_frequencies(local));
-      assign(out.power_w, sws.item_power(local));
-      assign(out.time_s, sws.item_time(local));
-      assign(out.energy_j, sws.item_energy(local));
-    }
-    out.min_energy_frequency_mhz = out.frequencies[stats::argmin(out.energy_j)];
-    out.queue_latency_s = seconds_between(slot.enqueued_at, picked_up);
-    out.total_latency_s = seconds_between(slot.enqueued_at, completed);
-    out.batch_size = batch_.size();
-    out.model_epoch = epoch;
-    out.coalesced = group_size_[u] > 1;
-    out.cache_hit = hit_[u] != 0;
+  for (const std::shared_ptr<detail::SweepSlot>& pin : batch_) {
+    detail::SweepSlot& slot = *pin;
     {
-      MutexLock lock(slot.mutex);
+      MutexGuard lock(slot.mutex);
       slot.done = true;
     }
     slot.cv.notify_all();
@@ -282,7 +296,7 @@ std::size_t SweepService::drain_locked() {
 void SweepService::start() {
   GPUFREQ_REQUIRE(!worker_.joinable(), "SweepService: already started");
   {
-    MutexLock lock(mutex_);
+    MutexGuard lock(mutex_);
     stopping_ = false;
   }
   worker_ = std::thread([this] { worker_loop(); });
@@ -291,7 +305,7 @@ void SweepService::start() {
 void SweepService::stop() {
   if (!worker_.joinable()) return;
   {
-    MutexLock lock(mutex_);
+    MutexGuard lock(mutex_);
     stopping_ = true;
   }
   cv_.notify_all();
@@ -313,12 +327,12 @@ void SweepService::worker_loop() {
 }
 
 std::size_t SweepService::pending() const {
-  MutexLock lock(mutex_);
+  MutexGuard lock(mutex_);
   return queue_.size();
 }
 
 ServiceStats SweepService::stats() const {
-  MutexLock lock(mutex_);
+  MutexGuard lock(mutex_);
   return stats_;
 }
 

@@ -3,12 +3,13 @@
 #include <mutex>
 
 // Portable clang thread-safety annotations (no-ops on GCC/MSVC, which
-// simply ignore the attributes) plus the annotated Mutex/MutexLock
-// wrappers that make them usable with libstdc++. Clang's analysis only
-// understands lock/unlock functions that carry acquire/release attributes;
-// libstdc++'s std::mutex and std::lock_guard are unannotated, so guarding
-// state with them teaches the analyzer nothing. gpufreq code that protects
-// shared state therefore uses gpufreq::Mutex + gpufreq::MutexLock and
+// simply ignore the attributes) plus the annotated Mutex/MutexGuard/
+// MutexLock wrappers that make them usable with libstdc++. Clang's analysis
+// only understands lock/unlock functions that carry acquire/release
+// attributes; libstdc++'s std::mutex and std::lock_guard are unannotated,
+// so guarding state with them teaches the analyzer nothing. gpufreq code
+// that protects shared state therefore uses gpufreq::Mutex with
+// gpufreq::MutexGuard (or MutexLock around condition-variable waits) and
 // declares the protected members GPUFREQ_GUARDED_BY(mutex_); a clang build
 // (CI's clang job, or any local clang) then rejects every unlocked access
 // at compile time via -Wthread-safety (enabled in gpufreq_warnings).
@@ -93,10 +94,28 @@ class GPUFREQ_CAPABILITY("mutex") Mutex {
   std::mutex m_;
 };
 
-/// RAII lock for gpufreq::Mutex (the annotated std::lock_guard /
+/// Scope-only RAII lock for gpufreq::Mutex (the annotated std::lock_guard).
+/// Its release is a plain Mutex::unlock(): unlike std::unique_lock it keeps
+/// no ownership flag, so there is no "unlock of an unowned lock" branch that
+/// throws std::system_error (an out-of-line copy of that branch would put a
+/// throw on a GPUFREQ_HOT caller's static call graph). Use it for every
+/// critical section that is exactly one scope.
+class GPUFREQ_SCOPED_CAPABILITY MutexGuard {
+ public:
+  explicit MutexGuard(Mutex& m) GPUFREQ_ACQUIRE(m) : m_(m) { m_.lock(); }
+  ~MutexGuard() GPUFREQ_RELEASE() { m_.unlock(); }
+  MutexGuard(const MutexGuard&) = delete;
+  MutexGuard& operator=(const MutexGuard&) = delete;
+
+ private:
+  Mutex& m_;
+};
+
+/// RAII lock for gpufreq::Mutex for condition-variable waits (the annotated
 /// std::unique_lock replacement). `native()` exposes the underlying
 /// std::unique_lock so std::condition_variable::wait can drop and reacquire
 /// the lock; pair such waits with Mutex::assert_held() in the predicate.
+/// Scope-only sections use MutexGuard instead.
 class GPUFREQ_SCOPED_CAPABILITY MutexLock {
  public:
   explicit MutexLock(Mutex& m) GPUFREQ_ACQUIRE(m) : lock_(m.native()) {}

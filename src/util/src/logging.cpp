@@ -37,7 +37,7 @@ bool enabled(Level lvl) { return static_cast<int>(lvl) >= static_cast<int>(level
 
 void write(Level lvl, const std::string& module, const std::string& message) {
   if (!enabled(lvl) || message.empty()) return;
-  MutexLock lock(detail::write_mutex());
+  MutexGuard lock(detail::write_mutex());
   std::fprintf(stderr, "[%s] %s: %s\n", level_name(lvl), module.c_str(), message.c_str());
 }
 

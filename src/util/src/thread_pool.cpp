@@ -52,13 +52,13 @@ class Pool {
   ~Pool() { shutdown(); }
 
   std::size_t size() {
-    MutexLock lock(mutex_);
+    MutexGuard lock(mutex_);
     return workers_.size() + 1;
   }
 
   void resize(std::size_t n) {
     shutdown();
-    MutexLock lock(mutex_);
+    MutexGuard lock(mutex_);
     stop_ = false;
     // Oversized requests (e.g. GPUFREQ_NUM_THREADS=99999) would exhaust
     // process thread limits; cap them, and if spawning still fails keep
@@ -76,7 +76,7 @@ class Pool {
 
   void run(Batch& batch) {
     {
-      MutexLock lock(mutex_);
+      MutexGuard lock(mutex_);
       batch_ = &batch;
       ++batch_id_;
     }
@@ -96,7 +96,7 @@ class Pool {
 
   void shutdown() {
     {
-      MutexLock lock(mutex_);
+      MutexGuard lock(mutex_);
       stop_ = true;
     }
     cv_work_.notify_all();
@@ -110,13 +110,13 @@ class Pool {
       try {
         batch.fn(c);
       } catch (...) {
-        MutexLock lock(mutex_);
+        MutexGuard lock(mutex_);
         if (!batch.error) batch.error = std::current_exception();
       }
       if (batch.done.fetch_add(1) + 1 == batch.count) {
         // Lock so the notification cannot slip between the caller's
         // predicate check and its sleep.
-        MutexLock lock(mutex_);
+        MutexGuard lock(mutex_);
         cv_done_.notify_all();
       }
     }
@@ -140,7 +140,7 @@ class Pool {
       }
       work_on(*batch);
       {
-        MutexLock lock(mutex_);
+        MutexGuard lock(mutex_);
         --batch->active;
         cv_done_.notify_all();
       }

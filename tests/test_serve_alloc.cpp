@@ -9,6 +9,7 @@
 #include <cstdlib>
 #include <new>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "gpufreq/core/pipeline.hpp"
@@ -208,6 +209,52 @@ TEST(ServeAlloc, SteadyStateServiceDrainIsAllocationFree) {
   EXPECT_EQ(served, 32u);
   EXPECT_EQ(g_allocation_count.load(), 0u)
       << "steady-state SweepService::drain_once must not touch the heap";
+}
+
+TEST(ServeAlloc, SubmitAllocatesOnlyTheSlotAndItsOutcome) {
+  // All of a request's heap traffic happens in submit(): the shared slot
+  // (one make_shared block) and the four outcome curves reserved to the
+  // grid length. A default-grid request holds a view of the service's
+  // grid instead of a copy; a custom grid is moved into the slot.
+  constexpr std::size_t kDefaultGridSubmitAllocations = 5;
+  constexpr std::size_t kCustomGridSubmitAllocations = 5;
+  const auto models = fabricate_models(42);
+  const sim::GpuSpec spec = sim::GpuSpec::ga100();
+  ModelSnapshotHolder holder(models);
+  SweepService service(holder, spec);
+  const auto catalog = make_catalog(2, spec, 7);
+  const auto request = [&](std::vector<double> grid) {
+    SweepRequest r;
+    r.descriptor = {.category = WorkloadCategory::kInteractive, .band = 1};
+    r.counters = catalog[0].counters;
+    r.measured_time_at_max_s = catalog[0].measured_time_at_max_s;
+    r.frequencies = std::move(grid);
+    return r;
+  };
+  const std::vector<double> custom = {1410.0, 510.0, 900.0};
+  for (int round = 0; round < 2; ++round) {  // grow the queue ring once
+    (void)service.submit(request({}));
+    (void)service.submit(request(custom));
+    ASSERT_EQ(service.drain_once(), 2u);
+  }
+
+  SweepRequest by_default = request({});
+  SweepRequest with_grid = request(custom);
+  g_allocation_count.store(0);
+  g_count_allocations.store(true);
+  const SweepTicket a = service.submit(std::move(by_default));
+  g_count_allocations.store(false);
+  EXPECT_EQ(g_allocation_count.load(), kDefaultGridSubmitAllocations);
+
+  g_allocation_count.store(0);
+  g_count_allocations.store(true);
+  const SweepTicket b = service.submit(std::move(with_grid));
+  g_count_allocations.store(false);
+  EXPECT_EQ(g_allocation_count.load(), kCustomGridSubmitAllocations);
+
+  ASSERT_EQ(service.drain_once(), 2u);
+  EXPECT_EQ(a.wait().frequencies.size(), service.default_frequencies().size());
+  EXPECT_EQ(b.wait().frequencies, (std::vector<double>{510.0, 900.0, 1410.0}));
 }
 
 TEST(ServeAlloc, CachedDrainHitsAndInsertsAreAllocationFree) {

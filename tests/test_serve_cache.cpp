@@ -2,14 +2,19 @@
 // service: exact-key hits are bitwise-identical to recomputing, LRU
 // eviction and set aliasing under pressure, wholesale invalidation by
 // model-epoch keying (including racing a concurrent hot-swap — the TSan
-// lane runs this), the quantized-key mode sharing a rounding cell, and the
-// parallel sharded drain matching the serial drain bitwise.
+// lane runs this), the quantized-key mode sharing a rounding cell, the
+// one-key identity (a one-field difference never shares a curve, equal bits
+// always do, hit views outlive same-drain evictions), and the parallel
+// sharded drain matching the serial drain bitwise.
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "gpufreq/core/pipeline.hpp"
@@ -18,6 +23,7 @@
 #include "gpufreq/serve/sweep_service.hpp"
 #include "gpufreq/sim/gpu_spec.hpp"
 #include "gpufreq/util/error.hpp"
+#include "gpufreq/util/stats.hpp"
 #include "gpufreq/util/thread_pool.hpp"
 
 namespace gpufreq::serve {
@@ -380,6 +386,145 @@ TEST(ServeCache, QuantizedKeySharesRoundingCell) {
   const SweepTicket miss = service.submit(std::move(far));
   EXPECT_EQ(service.drain_once(), 1u);
   EXPECT_FALSE(miss.wait().cache_hit);
+}
+
+// One request that differs from the base request in exactly one input:
+// one of the 12 counter fields, t_max, or one interior grid element (not
+// first, middle or last, so the hash's grid fingerprint cannot see it).
+// Variants 0-11 are the counters in declaration order.
+SweepRequest one_field_variant(const Fixture& f, std::size_t variant,
+                               const std::vector<double>& grid) {
+  SweepRequest r = f.request(0);
+  const auto nudge = [](double& v) { v = std::nextafter(v, 1e300); };
+  sim::CounterSet& c = r.counters;
+  double* const counters[] = {&c.fp64_active,   &c.fp32_active,      &c.sm_app_clock,
+                              &c.dram_active,   &c.gr_engine_active, &c.gpu_utilization,
+                              &c.power_usage,   &c.sm_active,        &c.sm_occupancy,
+                              &c.pcie_tx_bytes, &c.pcie_rx_bytes,    &c.exec_time};
+  if (variant < 12) {
+    nudge(*counters[variant]);
+  } else if (variant == 12) {
+    nudge(r.measured_time_at_max_s);
+  } else {
+    r.frequencies = grid;
+    const std::size_t interior = grid.size() / 4;
+    EXPECT_NE(interior, 0u);
+    EXPECT_NE(interior, grid.size() / 2);
+    r.frequencies[interior] += 0.5;
+  }
+  return r;
+}
+
+constexpr std::size_t kOneFieldVariants = 14;  // 12 counters, t_max, one grid element
+
+TEST(ServeCache, OneFieldDifferenceNeverSharesACurveWithinABatch) {
+  Fixture f;
+  const core::OnlinePredictor predictor(*f.models);
+  core::SweepWorkspace ws;
+  for (std::size_t v = 0; v < kOneFieldVariants; ++v) {
+    SCOPED_TRACE("variant " + std::to_string(v));
+    SweepService service(f.holder, f.spec);
+    const SweepRequest variant = one_field_variant(f, v, service.default_frequencies());
+    const SweepTicket base = service.submit(f.request(0));
+    const SweepTicket other = service.submit(variant);
+    ASSERT_EQ(service.drain_once(), 2u);
+    EXPECT_EQ(service.stats().unique_items, 2u);
+    EXPECT_EQ(service.stats().coalesced, 0u);
+    EXPECT_FALSE(other.wait().coalesced);
+    EXPECT_FALSE(base.wait().coalesced);
+    predictor.predict_sweep(variant.counters, variant.measured_time_at_max_s, f.spec,
+                            variant.frequencies.empty() ? service.default_frequencies()
+                                                        : variant.frequencies,
+                            ws);
+    expect_curves_bitwise_equal(other.wait(), ws);
+  }
+}
+
+TEST(ServeCache, OneFieldDifferenceNeverSharesACurveAcrossDrains) {
+  Fixture f;
+  const core::OnlinePredictor predictor(*f.models);
+  core::SweepWorkspace ws;
+  SweepService service(f.holder, f.spec);
+  (void)service.submit(f.request(0));
+  ASSERT_EQ(service.drain_once(), 1u);
+  for (std::size_t v = 0; v < kOneFieldVariants; ++v) {
+    SCOPED_TRACE("variant " + std::to_string(v));
+    const SweepRequest variant = one_field_variant(f, v, service.default_frequencies());
+    const SweepTicket t = service.submit(variant);
+    ASSERT_EQ(service.drain_once(), 1u);
+    EXPECT_FALSE(t.wait().cache_hit);
+    predictor.predict_sweep(variant.counters, variant.measured_time_at_max_s, f.spec,
+                            variant.frequencies.empty() ? service.default_frequencies()
+                                                        : variant.frequencies,
+                            ws);
+    expect_curves_bitwise_equal(t.wait(), ws);
+  }
+  EXPECT_EQ(service.stats().cache_hits, 0u);
+  EXPECT_EQ(service.stats().cache_misses, 1u + kOneFieldVariants);
+}
+
+TEST(ServeCache, BitIdenticalRequestsShareACurve) {
+  // A custom grid that is bitwise equal to the default grid (another
+  // buffer, same bits) is the same computation as a default-grid request.
+  Fixture f;
+  SweepService service(f.holder, f.spec);
+  SweepRequest same_grid = f.request(0);
+  same_grid.frequencies = service.default_frequencies();
+  const SweepTicket by_default = service.submit(f.request(0));
+  const SweepTicket by_copy = service.submit(same_grid);
+  const SweepTicket twin = service.submit(f.request(0));
+  ASSERT_EQ(service.drain_once(), 3u);
+  EXPECT_EQ(service.stats().unique_items, 1u);
+  EXPECT_EQ(service.stats().coalesced, 2u);
+  EXPECT_TRUE(by_copy.wait().coalesced);
+  EXPECT_TRUE(twin.wait().coalesced);
+
+  const core::OnlinePredictor predictor(*f.models);
+  core::SweepWorkspace ws;
+  predictor.predict_sweep(f.catalog[0].counters, f.catalog[0].measured_time_at_max_s, f.spec,
+                          service.default_frequencies(), ws);
+  for (const SweepTicket* t : {&by_default, &by_copy, &twin})
+    expect_curves_bitwise_equal(t->wait(), ws);
+
+  // Across drains: the copied grid hits the default-grid request's entry.
+  const SweepTicket later = service.submit(same_grid);
+  ASSERT_EQ(service.drain_once(), 1u);
+  EXPECT_TRUE(later.wait().cache_hit);
+  expect_curves_bitwise_equal(later.wait(), ws);
+}
+
+TEST(ServeCache, HitSurvivesEvictionsByMissesOfTheSameDrain) {
+  // Two ways, one set. App 0 is cached; the next drain hits it and misses
+  // apps 1 and 2, whose inserts evict app 0's way. The hit's outcome must
+  // still be app 0's exact curve, not whatever overwrote its slab slot.
+  Fixture f;
+  ServiceConfig config;
+  config.cache.sets = 1;
+  config.cache.ways = 2;
+  SweepService service(f.holder, f.spec, config);
+  (void)service.submit(f.request(0));
+  ASSERT_EQ(service.drain_once(), 1u);
+
+  const SweepTicket hit = service.submit(f.request(0));
+  const SweepTicket miss_a = service.submit(f.request(1));
+  const SweepTicket miss_b = service.submit(f.request(2));
+  ASSERT_EQ(service.drain_once(), 3u);
+  EXPECT_TRUE(hit.wait().cache_hit);
+  EXPECT_FALSE(miss_a.wait().cache_hit);
+  EXPECT_FALSE(miss_b.wait().cache_hit);
+  EXPECT_GE(service.stats().cache_evictions, 1u);
+
+  const core::OnlinePredictor predictor(*f.models);
+  core::SweepWorkspace ws;
+  for (const auto& [ticket, app] : {std::pair{hit, std::size_t{0}},
+                                    std::pair{miss_a, std::size_t{1}},
+                                    std::pair{miss_b, std::size_t{2}}}) {
+    predictor.predict_sweep(f.catalog[app].counters, f.catalog[app].measured_time_at_max_s,
+                            f.spec, service.default_frequencies(), ws);
+    expect_curves_bitwise_equal(ticket.wait(), ws);
+    EXPECT_EQ(ticket.wait().min_energy_frequency_mhz,
+              ws.frequencies[stats::argmin(ws.energy_j)]);
+  }
 }
 
 TEST(ServeCache, ParallelShardedDrainMatchesSerialBitwise) {

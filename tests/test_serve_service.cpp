@@ -1,12 +1,14 @@
 // End-to-end SweepService behavior: fused batched outcomes bitwise-match
 // independent sweeps, strict priority with FIFO within band, bit-identical
-// request coalescing, hot model swaps between batches, and the background
-// worker + open-loop load generator.
+// request coalescing, hot model swaps between batches, the background
+// worker + open-loop load generator, and submit-time input validation.
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstdint>
+#include <limits>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "gpufreq/core/pipeline.hpp"
@@ -119,18 +121,6 @@ TEST(ServeService, CoalescesBitIdenticalRequests) {
       EXPECT_EQ(bits(out.energy_j[r]), bits(reference.energy_j[r]));
   }
   EXPECT_FALSE(other.wait().coalesced);
-}
-
-TEST(ServeService, CoalescingCanBeDisabled) {
-  Fixture f;
-  ServiceConfig config;
-  config.coalesce_identical = false;
-  SweepService service(f.holder, f.spec, config);
-  for (int i = 0; i < 4; ++i) (void)service.submit(f.request(0));
-  EXPECT_EQ(service.drain_once(), 4u);
-  const ServiceStats stats = service.stats();
-  EXPECT_EQ(stats.unique_items, 4u);
-  EXPECT_EQ(stats.coalesced, 0u);
 }
 
 TEST(ServeService, PerRequestGridsAndDefaults) {
@@ -342,6 +332,74 @@ TEST(ServeService, ValidatesRequests) {
   ServiceConfig zero_batch;
   zero_batch.max_batch = 0;
   EXPECT_THROW(SweepService(f.holder, f.spec, zero_batch), InvalidArgument);
+}
+
+TEST(ServeService, RejectsNonFiniteProfilesAndGridsAtSubmit) {
+  Fixture f;
+  SweepService service(f.holder, f.spec);
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+
+  for (const double poison : {kNan, kInf, -kInf}) {
+    SweepRequest counter = f.request(0);
+    counter.counters.exec_time = poison;
+    EXPECT_THROW(service.submit(std::move(counter)), InvalidArgument);
+    SweepRequest first_counter = f.request(0);
+    first_counter.counters.fp64_active = poison;
+    EXPECT_THROW(service.submit(std::move(first_counter)), InvalidArgument);
+    SweepRequest time = f.request(0);
+    time.measured_time_at_max_s = poison;
+    EXPECT_THROW(service.submit(std::move(time)), InvalidArgument);
+  }
+  SweepRequest negative_time = f.request(0);
+  negative_time.measured_time_at_max_s = -1.0;
+  EXPECT_THROW(service.submit(std::move(negative_time)), InvalidArgument);
+
+  for (const double poison : {kNan, kInf, 0.0, -900.0}) {
+    SweepRequest grid = f.request(0);
+    grid.frequencies = {510.0, poison, 1410.0};
+    EXPECT_THROW(service.submit(std::move(grid)), InvalidArgument);
+  }
+  EXPECT_EQ(service.pending(), 0u);
+  EXPECT_EQ(service.stats().submitted, 0u);
+}
+
+TEST(ServeService, PoisonedSubmitLeavesHealthyNeighborsServed) {
+  // A NaN counter is refused at the door with a typed error, so the
+  // healthy requests submitted before and after it share a batch and
+  // complete, whether drained explicitly or by the background worker.
+  Fixture f;
+  SweepRequest poisoned = f.request(2);
+  poisoned.counters.dram_active = std::numeric_limits<double>::quiet_NaN();
+
+  for (const bool background : {false, true}) {
+    SCOPED_TRACE(background ? "background worker" : "drain_once");
+    SweepService service(f.holder, f.spec);
+    if (background) service.start();
+    const SweepTicket before = service.submit(f.request(0));
+    EXPECT_THROW(service.submit(poisoned), InvalidArgument);
+    const SweepTicket after = service.submit(f.request(1));
+    if (background) {
+      service.stop();  // serves the backlog before joining
+    } else {
+      EXPECT_EQ(service.drain_once(), 2u);
+    }
+    const core::OnlinePredictor predictor(*f.models);
+    core::SweepWorkspace ws;
+    for (const auto& [ticket, app] : {std::pair{before, std::size_t{0}},
+                                      std::pair{after, std::size_t{1}}}) {
+      ASSERT_TRUE(ticket.done());
+      predictor.predict_sweep(f.catalog[app].counters, f.catalog[app].measured_time_at_max_s,
+                              f.spec, service.default_frequencies(), ws);
+      const SweepOutcome& out = ticket.wait();
+      ASSERT_EQ(out.energy_j.size(), ws.energy_j.size());
+      for (std::size_t r = 0; r < ws.energy_j.size(); ++r)
+        EXPECT_EQ(bits(out.energy_j[r]), bits(ws.energy_j[r]));
+    }
+    const ServiceStats stats = service.stats();
+    EXPECT_EQ(stats.submitted, 2u);
+    EXPECT_EQ(stats.completed, 2u);
+  }
 }
 
 }  // namespace
