@@ -29,8 +29,9 @@ Activation activation_from_string(const std::string& name);
 /// y = act(x), elementwise.
 float activate(Activation act, float x);
 
-/// d act(x) / dx given the pre-activation x. (Backprop takes the fused
-/// vector form, kernels::KernelTable::activate_backward.)
+/// d act(x) / dx given the pre-activation x. (Training takes the fused
+/// vector form: kernels::KernelTable::dense_forward_band writes it during
+/// the forward pass.)
 float activate_derivative(Activation act, float x);
 
 /// Vectorized in-place application: out[i] = act(z[i]).

@@ -16,9 +16,10 @@ namespace gpufreq::nn::kernels {
 /// dimension so band partitioning never changes results. Each backend
 /// runs both GEMM bands through one register tile that reads A through a
 /// (row stride, inner stride) pair: (k, 1) for A * B and (1, k) for
-/// A^T * B. Every C element is one chain over the inner dimension that
-/// starts from zero and ascends, so a row's bits do not depend on the
-/// band it falls in or its position in a tile.
+/// A^T * B (the SIMD backends give a one-column product one C row per
+/// lane instead). Every C element is one chain over the inner dimension
+/// that starts from zero and ascends, so a row's bits do not depend on
+/// the band it falls in or its position in a tile.
 struct KernelTable {
   const char* name;
 
@@ -30,19 +31,35 @@ struct KernelTable {
   void (*gemm_tn_band)(const float* a, const float* b, float* c, std::size_t n,
                        std::size_t k, std::size_t m, std::size_t lo, std::size_t hi);
 
-  /// m[i][j] += v[j] for all rows.
-  void (*add_row_vector)(float* m, const float* v, std::size_t rows, std::size_t cols);
+  /// dst = src^T: src is rows x cols, dst cols x rows. Pure data
+  /// movement, so every backend gives the same bits.
+  void (*transpose)(const float* src, float* dst, std::size_t rows, std::size_t cols);
 
   /// out[j] = sum_i m[i][j] (out overwritten).
   void (*column_sums)(const float* m, float* out, std::size_t rows, std::size_t cols);
 
-  /// out[i] = act(z[i]); in-place (out == z) is allowed.
-  void (*activate)(Activation act, const float* z, float* out, std::size_t n);
+  /// y[i] = act(z[i]) and, when d is non-null, d[i] = act'(z[i]) rounded
+  /// to float, both from one evaluation of the activation (SELU, ELU and
+  /// sigmoid share one exp). In place (y == z) is allowed; d must not
+  /// alias z. The scalar fused forward asks for d for every activation,
+  /// the SIMD ones only for the tanh/softplus fallback (their epilogues
+  /// compute d for the rest). The SIMD backends still honour d for every
+  /// activation, so the entry has one contract on every table and the
+  /// tests can check the fused epilogues' d against it.
+  void (*activate)(Activation act, const float* z, float* y, float* d, std::size_t n);
 
-  /// Backprop through the activation: dz[i] = act'(z[i]) * dy[i], the
-  /// derivative rounded to float before the product.
-  void (*activate_backward)(Activation act, const float* z, const float* dy, float* dz,
-                            std::size_t n);
+  /// Fused training/evaluation layer, rows [lo, hi), over UNPACKED
+  /// weights W (k x m, row-major):
+  ///   z = X[i] * W + bias,  y = act(z),  d = act'(z) (when d != nullptr)
+  /// Each z element is gemm_row_band's p-ascending chain from zero with
+  /// the bias added after it, and y/d are computed per element exactly as
+  /// activate computes them, so the result is bitwise the composition
+  /// gemm_row_band -> bias add -> activate, with no Z matrix written.
+  /// The backward pass keeps d rather than z: dL/dz = d * dL/dy.
+  /// X: rows x k, y and d: rows x m.
+  void (*dense_forward_band)(const float* x, const float* w, const float* bias,
+                             Activation act, float* y, float* d, std::size_t k,
+                             std::size_t m, std::size_t lo, std::size_t hi);
 
   /// Fused inference layer, rows [lo, hi):
   ///   Y[i] = act(X[i] * W + bias)

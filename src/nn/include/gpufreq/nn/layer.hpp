@@ -34,17 +34,19 @@ class DenseLayer {
   /// Register W and b with the optimizer (once, before training).
   void register_params(Optimizer& opt);
 
-  /// Forward: caches Z and a reference to X for the backward pass; writes
-  /// activations to `out`. `x` must stay alive (and unmodified) until
+  /// Training forward on the calling thread: one fused kernel writes the
+  /// activations to `out` and act'(Z) for the backward pass, and the layer
+  /// keeps a reference to X. `x` must stay alive (and unmodified) until
   /// backward() — Network::train_step guarantees this for its batch.
   void forward(const Matrix& x, Matrix& out);
 
-  /// Fused inference forward over `rows` contiguous rows (no caching):
-  /// y = act(x * W + b) through the active backend's dense_bias_act over
-  /// the packed weights, with the bias add and activation in the GEMM
-  /// epilogue. `x` is rows x in_dim and `y` rows x out_dim, both dense
-  /// row-major. Requires inference_prepared(). Rows are independent, so
-  /// disjoint row ranges may run concurrently.
+  /// Fused forward over `rows` contiguous rows (no caching):
+  /// y = act(x * W + b), with the bias add and activation in the GEMM
+  /// epilogue. Runs the active backend's dense_bias_act over the packed
+  /// weights when inference_prepared(), else dense_forward_band over the
+  /// weights as they are (the bits of the training forward). `x` is
+  /// rows x in_dim and `y` rows x out_dim, both dense row-major. Rows are
+  /// independent, so disjoint row ranges may run concurrently.
   void forward_rows(const float* x, float* y, std::size_t rows) const;
 
   /// Int8 counterpart of forward_rows: quantize the rows into the caller's
@@ -72,9 +74,11 @@ class DenseLayer {
   /// Quantized-pack row stride (k rounded up to even); 0 when not packed.
   std::size_t quantized_kpad() const { return qpacked_.empty() ? 0 : qpacked_.kpad(); }
 
-  /// Backward: `delta` is dL/dY (batch x out). Computes parameter
-  /// gradients (averaged over the batch) and overwrites `dx` with dL/dX.
-  void backward(const Matrix& delta, Matrix& dx);
+  /// Backward on the calling thread: `delta` is dL/dY (batch x out).
+  /// Computes parameter gradients (averaged over the batch) and, unless
+  /// `dx` is null (the first layer, whose dL/dX nobody reads), overwrites
+  /// `*dx` with dL/dX.
+  void backward(const Matrix& delta, Matrix* dx);
 
   /// Apply the optimizer to W and b using the last computed gradients.
   void apply_gradients(Optimizer& opt);
@@ -89,8 +93,9 @@ class DenseLayer {
   Matrix grad_w_;
   std::vector<float> grad_b_;
   const Matrix* cached_x_ = nullptr;  // borrowed forward input (batch x in)
-  Matrix cached_z_;        // batch x out (pre-activation)
+  Matrix deriv_;           // batch x out: act'(Z) from the forward pass
   Matrix delta_z_;         // scratch: dL/dZ
+  Matrix wt_;              // scratch: W^T (out x in) for dL/dX
   std::size_t slot_w_ = static_cast<std::size_t>(-1);
   std::size_t slot_b_ = static_cast<std::size_t>(-1);
 };

@@ -60,14 +60,10 @@ class Matrix {
 /// set_num_threads value.
 void gemm(const Matrix& a, const Matrix& b, Matrix& c);
 
-/// C = A^T * B. Same determinism guarantee as gemm.
+/// C = A^T * B, on the calling thread: its caller is the training step's
+/// weight gradient, a product too small to split. Same accumulation order
+/// guarantee as gemm.
 void gemm_tn(const Matrix& a, const Matrix& b, Matrix& c);
-
-/// C = A * B^T. Same determinism guarantee as gemm.
-void gemm_nt(const Matrix& a, const Matrix& b, Matrix& c);
-
-/// Adds a row vector (bias) to every row of `m`.
-void add_row_vector(Matrix& m, std::span<const float> v);
 
 /// Column-wise sum of `m` into `out` (size cols).
 void column_sums(const Matrix& m, std::span<float> out);

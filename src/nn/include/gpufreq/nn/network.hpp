@@ -33,7 +33,6 @@ class InferenceWorkspace {
   friend class Network;
   Matrix out_;                   // result: rows x output_dim
   Matrix tiles_;                 // chunk-disjoint hidden-activation regions
-                                 // (the unprepared fallback's second buffer)
   std::vector<std::int16_t> q_;  // int8 path: quantized rows (int16 carriers)
   std::vector<float> qscales_;   // int8 path: per-row dequant scales
 };
@@ -68,11 +67,12 @@ class Network {
 
   /// Inference into a caller-owned workspace; the returned reference
   /// points into the workspace and stays valid until the workspace is
-  /// reused. When every layer is prepared (prepare_inference) this is the
-  /// chunk-major fused forward — allocation-free once the workspace has
-  /// grown to the batch (see reserve_workspace) — with each kInt8-prepared
-  /// layer running the int8 kernel under Precision::kInt8. Otherwise every
-  /// layer runs the unfused gemm + bias + activation on the whole batch.
+  /// reused. This is the chunk-major fused forward — allocation-free once
+  /// the workspace has grown to the batch (see reserve_workspace). Layers
+  /// prepared by prepare_inference run over their packed weights, with
+  /// each kInt8-prepared layer running the int8 kernel under
+  /// Precision::kInt8; unprepared layers (e.g. during training) run the
+  /// training forward's kernel over the weights as they are.
   const Matrix& predict_into(const Matrix& x, InferenceWorkspace& ws,
                              Precision precision = Precision::kFp32) const;
 
@@ -95,7 +95,7 @@ class Network {
   /// Pack every layer's weights for the fused inference kernel (kInt8
   /// additionally builds the quantized sibling packs). Idempotent;
   /// training steps and weight re-initialization invalidate the packs (the
-  /// network then falls back to the unfused path until re-prepared).
+  /// network then runs over the unpacked weights until re-prepared).
   void prepare_inference(Precision precision = Precision::kFp32);
 
   /// True when every layer's fused-inference pack for `precision` is
@@ -110,7 +110,9 @@ class Network {
   /// per (network, optimizer) pair before train_step.
   void bind_optimizer(Optimizer& opt);
 
-  /// Mean loss on a dataset (no update).
+  /// Mean loss on a dataset (no update), through predict_into on a
+  /// per-thread workspace: no heap allocation once it has grown to the
+  /// dataset.
   double evaluate(const Matrix& x, const Matrix& y, Loss loss) const;
 
   /// The paper's model: 3 hidden layers x 64 SELU neurons -> 1 linear.

@@ -32,27 +32,7 @@ Activation activation_from_string(const std::string& name) {
   throw InvalidArgument("activation_from_string: unknown activation '" + name + "'");
 }
 
-using kernels::scalar_math::elu_f;
-using kernels::scalar_math::kLeakySlope;
-using kernels::scalar_math::selu_f;
-using kernels::scalar_math::sigmoid_f;
-using kernels::scalar_math::softplus_f;
-using kernels::scalar_math::softsign_f;
-
-float activate(Activation act, float x) {
-  switch (act) {
-    case Activation::kLinear: return x;
-    case Activation::kRelu: return x > 0.0f ? x : 0.0f;
-    case Activation::kElu: return elu_f(x);
-    case Activation::kLeakyRelu: return x > 0.0f ? x : kLeakySlope * x;
-    case Activation::kSelu: return selu_f(x);
-    case Activation::kSigmoid: return sigmoid_f(x);
-    case Activation::kTanh: return std::tanh(x);
-    case Activation::kSoftplus: return softplus_f(x);
-    case Activation::kSoftsign: return softsign_f(x);
-  }
-  return x;
-}
+float activate(Activation act, float x) { return kernels::scalar_math::value_f(act, x); }
 
 float activate_derivative(Activation act, float x) {
   return kernels::scalar_math::derivative_f(act, x);
@@ -65,7 +45,7 @@ float activate_derivative(Activation act, float x) {
 // the same polynomial with hand-placed FMAs.
 void activate(Activation act, std::span<const float> z, std::span<float> out) {
   GPUFREQ_REQUIRE(z.size() == out.size(), "activate: size mismatch");
-  kernels::active().activate(act, z.data(), out.data(), z.size());
+  kernels::active().activate(act, z.data(), out.data(), nullptr, z.size());
 }
 
 float lecun_normal_stddev(std::size_t fan_in) {

@@ -22,6 +22,7 @@
 #include "gpufreq/nn/kernels/dispatch.hpp"
 #include "gpufreq/util/hot_path.hpp"
 #include "scalar_math.hpp"
+#include "transpose_avx.hpp"
 
 namespace gpufreq::nn::kernels {
 
@@ -106,71 +107,105 @@ inline bool vectorizable(Activation act) {
   return act != Activation::kTanh && act != Activation::kSoftplus;
 }
 
-void activate_f(Activation act, const float* z, float* out, std::size_t n) {
-  if (!vectorizable(act)) {
-    detail::scalar_table().activate(act, z, out, n);
-    return;
-  }
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    _mm256_storeu_ps(out + i, act8(act, _mm256_loadu_ps(z + i)));
-  }
-  if (i < n) detail::scalar_table().activate(act, z + i, out + i, n - i);
-}
-
-// One 8-lane derivative step, act'(z), for the acts whose derivative
-// vectorizes (all but tanh). Each mirrors scalar_math::derivative_f.
-inline __m256 dact8(Activation act, __m256 z) {
+// y = act(z) and d = act'(z) for one 8-lane vector, from one exp. y is
+// act8's expression and d the lane form of scalar_math::derivative_f, so
+// each has the bits it has when computed alone. Callers filter tanh and
+// softplus first.
+inline void act_deriv8(Activation act, __m256 z, __m256& y, __m256& d) {
   const __m256 zero = _mm256_setzero_ps();
   const __m256 one = _mm256_set1_ps(1.0f);
   const __m256 gt = _mm256_cmp_ps(z, zero, _CMP_GT_OQ);
   switch (act) {
-    case Activation::kLinear:
-      return one;
-    case Activation::kRelu:
-      return _mm256_and_ps(gt, one);
-    case Activation::kElu:
-      return _mm256_blendv_ps(exp256(z), one, gt);
-    case Activation::kLeakyRelu:
-      return _mm256_blendv_ps(_mm256_set1_ps(scalar_math::kLeakySlope), one, gt);
-    case Activation::kSelu:
-      return _mm256_blendv_ps(
-          _mm256_mul_ps(_mm256_set1_ps(kSeluScale * kSeluAlpha), exp256(z)),
-          _mm256_set1_ps(kSeluScale), gt);
+    case Activation::kElu: {
+      const __m256 e = exp256(z);
+      y = _mm256_blendv_ps(_mm256_sub_ps(e, one), z, gt);
+      d = _mm256_blendv_ps(e, one, gt);
+      return;
+    }
+    case Activation::kSelu: {
+      const __m256 e = exp256(z);
+      const __m256 sa = _mm256_set1_ps(kSeluScale * kSeluAlpha);
+      y = _mm256_blendv_ps(_mm256_mul_ps(sa, _mm256_sub_ps(e, one)),
+                           _mm256_mul_ps(_mm256_set1_ps(kSeluScale), z), gt);
+      d = _mm256_blendv_ps(_mm256_mul_ps(sa, e), _mm256_set1_ps(kSeluScale), gt);
+      return;
+    }
     case Activation::kSigmoid: {
       const __m256 s = act8(Activation::kSigmoid, z);
-      return _mm256_mul_ps(s, _mm256_sub_ps(one, s));
+      y = s;
+      d = _mm256_mul_ps(s, _mm256_sub_ps(one, s));
+      return;
     }
-    case Activation::kSoftplus:
-      return act8(Activation::kSigmoid, z);
     case Activation::kSoftsign: {
       const __m256 abs_mask = _mm256_castsi256_ps(_mm256_set1_epi32(0x7fffffff));
-      const __m256 d = _mm256_add_ps(one, _mm256_and_ps(z, abs_mask));
-      return _mm256_div_ps(one, _mm256_mul_ps(d, d));
+      const __m256 den = _mm256_add_ps(one, _mm256_and_ps(z, abs_mask));
+      y = _mm256_div_ps(z, den);
+      d = _mm256_div_ps(one, _mm256_mul_ps(den, den));
+      return;
     }
-    default:
-      return one;  // unreachable: callers filter tanh first
+    case Activation::kRelu:
+      y = act8(act, z);
+      d = _mm256_and_ps(gt, one);
+      return;
+    case Activation::kLeakyRelu:
+      y = act8(act, z);
+      d = _mm256_blendv_ps(_mm256_set1_ps(scalar_math::kLeakySlope), one, gt);
+      return;
+    default:  // linear
+      y = z;
+      d = one;
+      return;
   }
 }
 
-void activate_backward_f(Activation act, const float* z, const float* dy, float* dz,
-                         std::size_t n) {
-  if (act == Activation::kTanh) {
-    detail::scalar_table().activate_backward(act, z, dy, dz, n);
+// Stores act(z), and act'(z) when d is non-null, for the first `count`
+// lanes of z: all 8 through plain stores unless kMasked. tanh and
+// softplus's value go through the scalar reference; softplus's derivative
+// is the vector sigmoid.
+template <bool kMasked>
+inline void act_store8(Activation act, __m256 z, float* y, float* d, std::size_t count) {
+  const __m256i msk = mask_for(count);
+  const auto store = [msk](float* p, __m256 v) {
+    if constexpr (kMasked) {
+      _mm256_maskstore_ps(p, msk, v);
+    } else {
+      _mm256_storeu_ps(p, v);
+    }
+  };
+  if (!vectorizable(act)) {
+    alignas(32) float tmp[8];
+    _mm256_store_ps(tmp, z);
+    if (act == Activation::kSoftplus && d != nullptr) {
+      store(d, act8(Activation::kSigmoid, z));
+      d = nullptr;
+    }
+    detail::scalar_table().activate(act, tmp, y, d, count);
+    return;
+  }
+  if (d == nullptr) {
+    store(y, act8(act, z));
+    return;
+  }
+  __m256 yv, dv;
+  act_deriv8(act, z, yv, dv);
+  store(y, yv);
+  store(d, dv);
+}
+
+void activate_f(Activation act, const float* z, float* y, float* d, std::size_t n) {
+  if (act == Activation::kTanh || (act == Activation::kSoftplus && d == nullptr)) {
+    detail::scalar_table().activate(act, z, y, d, n);
     return;
   }
   std::size_t i = 0;
   for (; i + 8 <= n; i += 8) {
-    _mm256_storeu_ps(dz + i,
-                     _mm256_mul_ps(dact8(act, _mm256_loadu_ps(z + i)), _mm256_loadu_ps(dy + i)));
+    act_store8<false>(act, _mm256_loadu_ps(z + i), y + i, d == nullptr ? nullptr : d + i, 8);
   }
   if (i < n) {
     // Masked tail: the same lane arithmetic as the body, so an element's
     // bits do not depend on its position.
-    const __m256i msk = mask_for(n - i);
-    _mm256_maskstore_ps(dz + i, msk,
-                        _mm256_mul_ps(dact8(act, _mm256_maskload_ps(z + i, msk)),
-                                      _mm256_maskload_ps(dy + i, msk)));
+    const __m256 zt = _mm256_maskload_ps(z + i, mask_for(n - i));
+    act_store8<true>(act, zt, y + i, d == nullptr ? nullptr : d + i, n - i);
   }
 }
 
@@ -212,18 +247,26 @@ inline void tile_accumulate(const float* a, std::size_t ars, std::size_t aps, co
                             __m256i mh = __m256i{}) {
   std::size_t row_off[kMr];
   for (std::size_t r = 0; r < kMr; ++r) row_off[r] = std::min(r, live - 1) * ars;
+  // The chains run in a local tile written out once at the end: __m256 may
+  // alias any float, so chains kept in `acc` itself would be stored back
+  // on every p step once a caller's epilogue indexes it by row.
+  __m256 t[kMr][2];
   for (std::size_t r = 0; r < kMr; ++r) {
-    acc[r][0] = _mm256_setzero_ps();
-    acc[r][1] = _mm256_setzero_ps();
+    t[r][0] = _mm256_setzero_ps();
+    t[r][1] = _mm256_setzero_ps();
   }
   for (std::size_t p = 0; p < k; ++p) {
     __m256 bl, bh;
     load16<kMasked>(b + p * ldb, ml, mh, bl, bh);
     for (std::size_t r = 0; r < kMr; ++r) {
       const __m256 av = _mm256_broadcast_ss(a + row_off[r] + p * aps);
-      acc[r][0] = _mm256_fmadd_ps(av, bl, acc[r][0]);
-      acc[r][1] = _mm256_fmadd_ps(av, bh, acc[r][1]);
+      t[r][0] = _mm256_fmadd_ps(av, bl, t[r][0]);
+      t[r][1] = _mm256_fmadd_ps(av, bh, t[r][1]);
     }
+  }
+  for (std::size_t r = 0; r < kMr; ++r) {
+    acc[r][0] = t[r][0];
+    acc[r][1] = t[r][1];
   }
 }
 
@@ -244,62 +287,171 @@ inline void row_accumulate(const float* a, std::size_t aps, const float* b, std:
   }
 }
 
-// One 16-column block of C rows [lo, hi): full tiles, then single rows.
-// Stores run over a constant kMr so the accumulators stay in registers.
-template <bool kMasked>
+// Epilogue that stores a finished C row block as it is.
+struct StoreC {
+  float* c;
+  std::size_t m;
+  template <bool kMasked>
+  void put(std::size_t i, std::size_t j0, std::size_t /*jw*/, __m256i ml, __m256i mh,
+           __m256 l, __m256 h) const {
+    store16<kMasked>(c + i * m + j0, ml, mh, l, h);
+  }
+  // Rows [i0, i0 + 8) of a one-column C, lanes outside `msk` untouched.
+  void put_column(std::size_t i0, __m256i msk, __m256 v) const {
+    _mm256_maskstore_ps(c + i0, msk, v);
+  }
+};
+
+// Epilogue of the fused layer for a vectorizable kAct: z = acc + bias,
+// then y = act(z) and, when d is non-null, d = act'(z), all from
+// registers. It makes no call, so the accumulator tile stays in registers.
+template <Activation kAct>
+struct BiasAct {
+  const float* bias;
+  float* y;
+  float* d;
+  std::size_t m;
+  template <bool kMasked>
+  static void store(__m256 z, float* y, float* d, __m256i msk) {
+    const auto put8 = [msk](float* p, __m256 v) {
+      if constexpr (kMasked) {
+        _mm256_maskstore_ps(p, msk, v);
+      } else {
+        _mm256_storeu_ps(p, v);
+      }
+    };
+    if (d == nullptr) {
+      put8(y, act8(kAct, z));
+      return;
+    }
+    __m256 yv, dv;
+    act_deriv8(kAct, z, yv, dv);
+    put8(y, yv);
+    put8(d, dv);
+  }
+  template <bool kMasked>
+  void put(std::size_t i, std::size_t j0, std::size_t /*jw*/, __m256i ml, __m256i mh, __m256 l,
+           __m256 h) const {
+    __m256 bl, bh;
+    load16<kMasked>(bias + j0, ml, mh, bl, bh);
+    const std::size_t off = i * m + j0;
+    float* dl = d == nullptr ? nullptr : d + off;
+    store<kMasked>(_mm256_add_ps(l, bl), y + off, dl, ml);
+    store<kMasked>(_mm256_add_ps(h, bh), y + off + 8, dl == nullptr ? nullptr : dl + 8, mh);
+  }
+  void put_column(std::size_t i0, __m256i msk, __m256 v) const {
+    store<true>(_mm256_add_ps(v, _mm256_set1_ps(bias[0])), y + i0,
+                d == nullptr ? nullptr : d + i0, msk);
+  }
+};
+
+// One 16-column block (columns [j0, j0 + jw) of C, B already offset to
+// j0) of rows [lo, hi): full tiles, then single rows, each finished row
+// handed to the epilogue. The epilogue runs over a constant kMr so the
+// accumulators stay in registers.
+template <bool kMasked, class Epi>
 inline void gemm_block(const float* A, std::size_t ars, std::size_t aps, const float* B,
-                       float* C, std::size_t k, std::size_t m, std::size_t lo, std::size_t hi,
-                       __m256i ml, __m256i mh) {
+                       std::size_t k, std::size_t m, std::size_t lo, std::size_t hi,
+                       std::size_t j0, std::size_t jw, __m256i ml, __m256i mh, const Epi& epi) {
   std::size_t i0 = lo;
   __m256 acc[kMr][2];
   for (; i0 + kMr <= hi; i0 += kMr) {
     tile_accumulate<kMasked>(A + i0 * ars, ars, aps, B, m, k, acc, kMr, ml, mh);
     for (std::size_t r = 0; r < kMr; ++r) {
-      store16<kMasked>(C + (i0 + r) * m, ml, mh, acc[r][0], acc[r][1]);
+      epi.template put<kMasked>(i0 + r, j0, jw, ml, mh, acc[r][0], acc[r][1]);
     }
   }
   for (; i0 < hi; ++i0) {
     __m256 al, ah;
     row_accumulate<kMasked>(A + i0 * ars, aps, B, m, k, ml, mh, al, ah);
-    store16<kMasked>(C + i0 * m, ml, mh, al, ah);
+    epi.template put<kMasked>(i0, j0, jw, ml, mh, al, ah);
   }
 }
 
-// C rows [lo, hi) of C = op(A) * B with op(A)(i, p) = A[i * ars + p * aps],
-// inner dimension k, B: k x m, C overwritten.
-void gemm_band(const float* A, std::size_t ars, std::size_t aps, const float* B, float* C,
-               std::size_t k, std::size_t m, std::size_t lo, std::size_t hi) {
+// Rows [lo, hi) of C = op(A) * B with op(A)(i, p) = A[i * ars + p * aps],
+// inner dimension k, B: k x m, each finished row block handed to `epi`.
+// Kept out of line: inlined into dense_forward_band_f's per-activation
+// switch, the instantiations compiled to a tile loop up to 2x slower.
+template <class Epi>
+__attribute__((noinline)) void gemm_band(const float* A, std::size_t ars, std::size_t aps,
+                                         const float* B, std::size_t k, std::size_t m,
+                                         std::size_t lo, std::size_t hi, const Epi& epi) {
+  if (m == 1 && ars < (std::size_t{1} << 27)) {
+    // A one-column product (an output layer's forward and weight
+    // gradient), for which the tile would spend 16 lanes per row: here
+    // each lane is one C row, running the tile's p-ascending FMA chain
+    // from zero. op(A)'s column is one load when rows are adjacent
+    // (ars == 1) and a gather otherwise.
+    const __m256i idx = _mm256_mullo_epi32(_mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7),
+                                           _mm256_set1_epi32(static_cast<int>(ars)));
+    for (std::size_t i0 = lo; i0 < hi; i0 += 8) {
+      const __m256i msk = mask_for(std::min<std::size_t>(8, hi - i0));
+      const float* a = A + i0 * ars;
+      __m256 acc = _mm256_setzero_ps();
+      for (std::size_t p = 0; p < k; ++p) {
+        const __m256 av = ars == 1 ? _mm256_maskload_ps(a + p * aps, msk)
+                                   : _mm256_mask_i32gather_ps(_mm256_setzero_ps(), a + p * aps,
+                                                              idx, _mm256_castsi256_ps(msk), 4);
+        acc = _mm256_fmadd_ps(av, _mm256_set1_ps(B[p]), acc);
+      }
+      epi.put_column(i0, msk, acc);
+    }
+    return;
+  }
   const __m256i all = mask_for(8);
   std::size_t j0 = 0;
   for (; j0 + kNr <= m; j0 += kNr) {
-    gemm_block<false>(A, ars, aps, B + j0, C + j0, k, m, lo, hi, all, all);
+    gemm_block<false>(A, ars, aps, B + j0, k, m, lo, hi, j0, kNr, all, all, epi);
   }
   if (j0 < m) {
     const std::size_t jw = m - j0;
-    gemm_block<true>(A, ars, aps, B + j0, C + j0, k, m, lo, hi,
-                     mask_for(std::min<std::size_t>(jw, 8)), mask_for(jw > 8 ? jw - 8 : 0));
+    gemm_block<true>(A, ars, aps, B + j0, k, m, lo, hi, j0, jw,
+                     mask_for(std::min<std::size_t>(jw, 8)), mask_for(jw > 8 ? jw - 8 : 0), epi);
   }
 }
 
 void gemm_row_band_f(const float* A, const float* B, float* C, std::size_t k,
                      std::size_t m, std::size_t lo, std::size_t hi) {
-  gemm_band(A, k, 1, B, C, k, m, lo, hi);
+  gemm_band(A, k, 1, B, k, m, lo, hi, StoreC{C, m});
 }
 
 void gemm_tn_band_f(const float* A, const float* B, float* C, std::size_t n,
                     std::size_t k, std::size_t m, std::size_t lo, std::size_t hi) {
-  gemm_band(A, 1, k, B, C, n, m, lo, hi);
+  gemm_band(A, 1, k, B, n, m, lo, hi, StoreC{C, m});
 }
 
-void add_row_vector_f(float* m, const float* v, std::size_t rows, std::size_t cols) {
-  for (std::size_t i = 0; i < rows; ++i) {
-    float* row = m + i * cols;
-    std::size_t j = 0;
-    for (; j + 8 <= cols; j += 8) {
-      _mm256_storeu_ps(row + j, _mm256_add_ps(_mm256_loadu_ps(row + j), _mm256_loadu_ps(v + j)));
-    }
-    for (; j < cols; ++j) row[j] += v[j];
+void dense_forward_band_f(const float* x, const float* w, const float* bias, Activation act,
+                          float* y, float* d, std::size_t k, std::size_t m, std::size_t lo,
+                          std::size_t hi) {
+  GPUFREQ_HOT("gpufreq::nn::kernels::(anonymous namespace)::dense_forward_band_f");
+  switch (act) {
+    case Activation::kLinear:
+      return gemm_band(x, k, 1, w, k, m, lo, hi, BiasAct<Activation::kLinear>{bias, y, d, m});
+    case Activation::kRelu:
+      return gemm_band(x, k, 1, w, k, m, lo, hi, BiasAct<Activation::kRelu>{bias, y, d, m});
+    case Activation::kElu:
+      return gemm_band(x, k, 1, w, k, m, lo, hi, BiasAct<Activation::kElu>{bias, y, d, m});
+    case Activation::kLeakyRelu:
+      return gemm_band(x, k, 1, w, k, m, lo, hi,
+                       BiasAct<Activation::kLeakyRelu>{bias, y, d, m});
+    case Activation::kSelu:
+      return gemm_band(x, k, 1, w, k, m, lo, hi, BiasAct<Activation::kSelu>{bias, y, d, m});
+    case Activation::kSigmoid:
+      return gemm_band(x, k, 1, w, k, m, lo, hi, BiasAct<Activation::kSigmoid>{bias, y, d, m});
+    case Activation::kSoftsign:
+      return gemm_band(x, k, 1, w, k, m, lo, hi, BiasAct<Activation::kSoftsign>{bias, y, d, m});
+    case Activation::kTanh:
+    case Activation::kSoftplus:
+      break;
   }
+  // tanh and softplus's value come from the scalar reference: z goes out
+  // through the plain store, then one pass adds the bias and activates.
+  gemm_band(x, k, 1, w, k, m, lo, hi, StoreC{y, m});
+  for (std::size_t i = lo; i < hi; ++i) {
+    float* yi = y + i * m;
+    for (std::size_t j = 0; j < m; ++j) yi[j] += bias[j];
+  }
+  activate_f(act, y + lo * m, y + lo * m, d == nullptr ? nullptr : d + lo * m, (hi - lo) * m);
 }
 
 void column_sums_f(const float* m, float* out, std::size_t rows, std::size_t cols) {
@@ -328,7 +480,7 @@ inline void bias_act_store(Activation act, __m256 accl, __m256 acch, const float
   _mm256_store_ps(tmp, accl);
   _mm256_store_ps(tmp + 8, acch);
   for (std::size_t j = 0; j < jn; ++j) tmp[j] += bias[j];
-  detail::scalar_table().activate(act, tmp, y, jn);
+  detail::scalar_table().activate(act, tmp, y, nullptr, jn);
 }
 
 void dense_bias_act_f(const float* x, const PackedWeights& w, const float* bias,
@@ -541,9 +693,9 @@ namespace detail {
 
 const KernelTable* avx2_table() {
   static const KernelTable table = {
-      "avx2",           gemm_row_band_f,     gemm_tn_band_f,   add_row_vector_f,
-      column_sums_f,    activate_f,          activate_backward_f,
-      dense_bias_act_f, quantize_rows_i8_f,  dense_bias_act_i8_f,
+      "avx2",             gemm_row_band_f,  gemm_tn_band_f,       transpose_f,
+      column_sums_f,      activate_f,       dense_forward_band_f, dense_bias_act_f,
+      quantize_rows_i8_f, dense_bias_act_i8_f,
   };
   return &table;
 }

@@ -33,6 +33,7 @@
 
 #include "gpufreq/util/hot_path.hpp"
 #include "scalar_math.hpp"
+#include "transpose_avx.hpp"
 
 namespace gpufreq::nn::kernels {
 
@@ -47,11 +48,12 @@ inline __mmask16 mask_for(std::size_t count) {
   return static_cast<__mmask16>((1u << count) - 1u);
 }
 
-// Vector port of scalar_math::fast_expf, mask-register edition of the
-// avx2 exp256: same range reduction and polynomial. NaN survives the
-// constant-first clamps and poisons the polynomial; the ordered
-// self-compare zeroes NaN lanes of fx so the int conversion stays in
-// range, and y * 2^0 keeps the NaN.
+// Vector port of scalar_math::fast_expf: the same range reduction and
+// polynomial as the avx2 exp256, with the 2^fx scaling done by vscalefps.
+// NaN survives the constant-first clamps and poisons the polynomial, and
+// scalef keeps it NaN. After the clamps fx is an integer in [-126, 127]
+// and y lies in about [0.7, 1.4], so y * 2^fx is the same correctly
+// rounded product that a multiply by the exponent-bits power gives.
 inline __m512 exp512(__m512 x) {
   x = _mm512_min_ps(_mm512_set1_ps(88.0f), x);
   x = _mm512_max_ps(_mm512_set1_ps(-87.0f), x);
@@ -67,12 +69,7 @@ inline __m512 exp512(__m512 x) {
   y = _mm512_fmadd_ps(y, x, _mm512_set1_ps(1.6666665459e-1f));
   y = _mm512_fmadd_ps(y, x, _mm512_set1_ps(5.0000001201e-1f));
   y = _mm512_add_ps(_mm512_fmadd_ps(_mm512_mul_ps(y, x), x, x), _mm512_set1_ps(1.0f));
-  const __mmask16 ord = _mm512_cmp_ps_mask(fx, fx, _CMP_ORD_Q);
-  const __m512 fx_int = _mm512_maskz_mov_ps(ord, fx);
-  const __m512i biased =
-      _mm512_add_epi32(_mm512_cvtps_epi32(fx_int), _mm512_set1_epi32(127));
-  const __m512 pow2 = _mm512_castsi512_ps(_mm512_slli_epi32(biased, 23));
-  return _mm512_mul_ps(y, pow2);
+  return _mm512_scalef_ps(y, fx);
 }
 
 // One 16-lane activation step for the acts worth vectorizing; the
@@ -115,73 +112,96 @@ inline bool vectorizable(Activation act) {
   return act != Activation::kTanh && act != Activation::kSoftplus;
 }
 
-void activate_f(Activation act, const float* z, float* out, std::size_t n) {
+// y = act(z) and d = act'(z) for one 16-lane vector, from one exp. y is
+// act16's expression and d the lane form of scalar_math::derivative_f, so
+// each has the bits it has when computed alone. Callers filter tanh and
+// softplus first.
+inline void act_deriv16(Activation act, __m512 z, __m512& y, __m512& d) {
+  const __m512 one = _mm512_set1_ps(1.0f);
+  const __mmask16 gt = _mm512_cmp_ps_mask(z, _mm512_setzero_ps(), _CMP_GT_OQ);
+  switch (act) {
+    case Activation::kElu: {
+      const __m512 e = exp512(z);
+      y = _mm512_mask_blend_ps(gt, _mm512_sub_ps(e, one), z);
+      d = _mm512_mask_blend_ps(gt, e, one);
+      return;
+    }
+    case Activation::kSelu: {
+      const __m512 e = exp512(z);
+      const __m512 sa = _mm512_set1_ps(kSeluScale * kSeluAlpha);
+      y = _mm512_mask_blend_ps(gt, _mm512_mul_ps(sa, _mm512_sub_ps(e, one)),
+                               _mm512_mul_ps(_mm512_set1_ps(kSeluScale), z));
+      d = _mm512_mask_blend_ps(gt, _mm512_mul_ps(sa, e), _mm512_set1_ps(kSeluScale));
+      return;
+    }
+    case Activation::kSigmoid: {
+      const __m512 s = act16(Activation::kSigmoid, z);
+      y = s;
+      d = _mm512_mul_ps(s, _mm512_sub_ps(one, s));
+      return;
+    }
+    case Activation::kSoftsign: {
+      const __m512 den = _mm512_add_ps(one, _mm512_abs_ps(z));
+      y = _mm512_div_ps(z, den);
+      d = _mm512_div_ps(one, _mm512_mul_ps(den, den));
+      return;
+    }
+    case Activation::kRelu:
+      y = act16(act, z);
+      d = _mm512_maskz_mov_ps(gt, one);
+      return;
+    case Activation::kLeakyRelu:
+      y = act16(act, z);
+      d = _mm512_mask_blend_ps(gt, _mm512_set1_ps(scalar_math::kLeakySlope), one);
+      return;
+    default:  // linear
+      y = z;
+      d = one;
+      return;
+  }
+}
+
+// Stores act(z), and act'(z) when d is non-null, through `msk` (the first
+// `count` lanes). tanh and softplus's value go through the scalar
+// reference; softplus's derivative is the vector sigmoid.
+inline void act_store(Activation act, __m512 z, float* y, float* d, __mmask16 msk,
+                      std::size_t count) {
   if (!vectorizable(act)) {
-    detail::scalar_table().activate(act, z, out, n);
+    alignas(64) float tmp[kPanelWidth];
+    _mm512_store_ps(tmp, z);
+    if (act == Activation::kSoftplus && d != nullptr) {
+      _mm512_mask_storeu_ps(d, msk, act16(Activation::kSigmoid, z));
+      d = nullptr;
+    }
+    detail::scalar_table().activate(act, tmp, y, d, count);
+    return;
+  }
+  if (d == nullptr) {
+    _mm512_mask_storeu_ps(y, msk, act16(act, z));
+    return;
+  }
+  __m512 yv, dv;
+  act_deriv16(act, z, yv, dv);
+  _mm512_mask_storeu_ps(y, msk, yv);
+  _mm512_mask_storeu_ps(d, msk, dv);
+}
+
+void activate_f(Activation act, const float* z, float* y, float* d, std::size_t n) {
+  if (act == Activation::kTanh || (act == Activation::kSoftplus && d == nullptr)) {
+    detail::scalar_table().activate(act, z, y, d, n);
     return;
   }
   std::size_t i = 0;
   for (; i + 16 <= n; i += 16) {
-    _mm512_storeu_ps(out + i, act16(act, _mm512_loadu_ps(z + i)));
+    act_store(act, _mm512_loadu_ps(z + i), y + i, d == nullptr ? nullptr : d + i,
+              mask_for(16), 16);
   }
   if (i < n) {
     // Masked tail: inactive lanes load as 0.0 (every vectorizable act is
-    // total there) and the store touches only the live lanes.
+    // total there) and the stores touch only the live lanes.
     const __mmask16 msk = mask_for(n - i);
-    _mm512_mask_storeu_ps(out + i, msk, act16(act, _mm512_maskz_loadu_ps(msk, z + i)));
-  }
-}
-
-// One 16-lane derivative step, act'(z), for the acts whose derivative
-// vectorizes (all but tanh). Each mirrors scalar_math::derivative_f.
-inline __m512 dact16(Activation act, __m512 z) {
-  const __m512 zero = _mm512_setzero_ps();
-  const __m512 one = _mm512_set1_ps(1.0f);
-  const __mmask16 gt = _mm512_cmp_ps_mask(z, zero, _CMP_GT_OQ);
-  switch (act) {
-    case Activation::kLinear:
-      return one;
-    case Activation::kRelu:
-      return _mm512_maskz_mov_ps(gt, one);
-    case Activation::kElu:
-      return _mm512_mask_blend_ps(gt, exp512(z), one);
-    case Activation::kLeakyRelu:
-      return _mm512_mask_blend_ps(gt, _mm512_set1_ps(scalar_math::kLeakySlope), one);
-    case Activation::kSelu:
-      return _mm512_mask_blend_ps(
-          gt, _mm512_mul_ps(_mm512_set1_ps(kSeluScale * kSeluAlpha), exp512(z)),
-          _mm512_set1_ps(kSeluScale));
-    case Activation::kSigmoid: {
-      const __m512 s = act16(Activation::kSigmoid, z);
-      return _mm512_mul_ps(s, _mm512_sub_ps(one, s));
-    }
-    case Activation::kSoftplus:
-      return act16(Activation::kSigmoid, z);
-    case Activation::kSoftsign: {
-      const __m512 d = _mm512_add_ps(one, _mm512_abs_ps(z));
-      return _mm512_div_ps(one, _mm512_mul_ps(d, d));
-    }
-    default:
-      return one;  // unreachable: callers filter tanh first
-  }
-}
-
-void activate_backward_f(Activation act, const float* z, const float* dy, float* dz,
-                         std::size_t n) {
-  if (act == Activation::kTanh) {
-    detail::scalar_table().activate_backward(act, z, dy, dz, n);
-    return;
-  }
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    _mm512_storeu_ps(dz + i,
-                     _mm512_mul_ps(dact16(act, _mm512_loadu_ps(z + i)), _mm512_loadu_ps(dy + i)));
-  }
-  if (i < n) {
-    const __mmask16 msk = mask_for(n - i);
-    _mm512_mask_storeu_ps(dz + i, msk,
-                          _mm512_mul_ps(dact16(act, _mm512_maskz_loadu_ps(msk, z + i)),
-                                        _mm512_maskz_loadu_ps(msk, dy + i)));
+    act_store(act, _mm512_maskz_loadu_ps(msk, z + i), y + i, d == nullptr ? nullptr : d + i,
+              msk, n - i);
   }
 }
 
@@ -193,18 +213,26 @@ void activate_backward_f(Activation act, const float* z, const float* dy, float*
 inline void tile_accumulate(const float* a, std::size_t ars, std::size_t aps, const float* b,
                             std::size_t ldb, std::size_t k, __mmask16 m0, __mmask16 m1,
                             __m512 acc[kMr][2]) {
+  // The chains run in a local tile written out once at the end: __m512 may
+  // alias any float, so chains kept in `acc` itself would be stored back
+  // on every p step once a caller's epilogue indexes it by row.
+  __m512 t[kMr][2];
   for (std::size_t r = 0; r < kMr; ++r) {
-    acc[r][0] = _mm512_setzero_ps();
-    acc[r][1] = _mm512_setzero_ps();
+    t[r][0] = _mm512_setzero_ps();
+    t[r][1] = _mm512_setzero_ps();
   }
   for (std::size_t p = 0; p < k; ++p) {
     const __m512 bl = _mm512_maskz_loadu_ps(m0, b + p * ldb);
     const __m512 bh = _mm512_maskz_loadu_ps(m1, b + p * ldb + 16);
     for (std::size_t r = 0; r < kMr; ++r) {
       const __m512 av = _mm512_set1_ps(a[r * ars + p * aps]);
-      acc[r][0] = _mm512_fmadd_ps(av, bl, acc[r][0]);
-      acc[r][1] = _mm512_fmadd_ps(av, bh, acc[r][1]);
+      t[r][0] = _mm512_fmadd_ps(av, bl, t[r][0]);
+      t[r][1] = _mm512_fmadd_ps(av, bh, t[r][1]);
     }
+  }
+  for (std::size_t r = 0; r < kMr; ++r) {
+    acc[r][0] = t[r][0];
+    acc[r][1] = t[r][1];
   }
 }
 
@@ -222,10 +250,87 @@ inline void row_accumulate(const float* a, std::size_t aps, const float* b, std:
   }
 }
 
-// C rows [lo, hi) of C = op(A) * B with op(A)(i, p) = A[i * ars + p * aps],
-// inner dimension k, B: k x m, C overwritten.
-void gemm_band(const float* A, std::size_t ars, std::size_t aps, const float* B, float* C,
-               std::size_t k, std::size_t m, std::size_t lo, std::size_t hi) {
+// Epilogue that stores a finished C row as it is.
+struct StoreC {
+  float* c;
+  std::size_t m;
+  void put(std::size_t i, std::size_t j0, std::size_t /*jw*/, __mmask16 m0, __mmask16 m1,
+           __m512 l, __m512 h) const {
+    _mm512_mask_storeu_ps(c + i * m + j0, m0, l);
+    _mm512_mask_storeu_ps(c + i * m + j0 + 16, m1, h);
+  }
+  // Rows [i0, i0 + 16) of a one-column C, lanes outside `msk` untouched.
+  void put_column(std::size_t i0, __mmask16 msk, __m512 v) const {
+    _mm512_mask_storeu_ps(c + i0, msk, v);
+  }
+};
+
+// Epilogue of the fused layer for a vectorizable kAct: z = acc + bias,
+// then y = act(z) and, when d is non-null, d = act'(z), all from
+// registers. It makes no call, so the accumulator tile stays in registers.
+template <Activation kAct>
+struct BiasAct {
+  const float* bias;
+  float* y;
+  float* d;
+  std::size_t m;
+  static void store(__m512 z, float* y, float* d, __mmask16 msk) {
+    if (d == nullptr) {
+      _mm512_mask_storeu_ps(y, msk, act16(kAct, z));
+      return;
+    }
+    __m512 yv, dv;
+    act_deriv16(kAct, z, yv, dv);
+    _mm512_mask_storeu_ps(y, msk, yv);
+    _mm512_mask_storeu_ps(d, msk, dv);
+  }
+  void put(std::size_t i, std::size_t j0, std::size_t jw, __mmask16 m0, __mmask16 m1,
+           __m512 l, __m512 h) const {
+    const std::size_t off = i * m + j0;
+    float* dl = d == nullptr ? nullptr : d + off;
+    store(_mm512_add_ps(l, _mm512_maskz_loadu_ps(m0, bias + j0)), y + off, dl, m0);
+    if (jw > kPanelWidth) {
+      store(_mm512_add_ps(h, _mm512_maskz_loadu_ps(m1, bias + j0 + 16)), y + off + 16,
+            dl == nullptr ? nullptr : dl + 16, m1);
+    }
+  }
+  void put_column(std::size_t i0, __mmask16 msk, __m512 v) const {
+    store(_mm512_add_ps(v, _mm512_set1_ps(bias[0])), y + i0, d == nullptr ? nullptr : d + i0,
+          msk);
+  }
+};
+
+// Rows [lo, hi) of C = op(A) * B with op(A)(i, p) = A[i * ars + p * aps],
+// inner dimension k, B: k x m, each finished row handed to `epi`.
+// Kept out of line: inlined into dense_forward_band_f's per-activation
+// switch, the instantiations compiled to a tile loop up to 2x slower.
+template <class Epi>
+__attribute__((noinline)) void gemm_band(const float* A, std::size_t ars, std::size_t aps,
+                                         const float* B, std::size_t k, std::size_t m,
+                                         std::size_t lo, std::size_t hi, const Epi& epi) {
+  if (m == 1 && ars < (std::size_t{1} << 26)) {
+    // A one-column product (an output layer's forward and weight
+    // gradient), for which the tile would spend 32 lanes per row: here
+    // each lane is one C row, running the tile's p-ascending FMA chain
+    // from zero. op(A)'s column is one load when rows are adjacent
+    // (ars == 1) and a gather otherwise.
+    const __m512i idx = _mm512_mullo_epi32(
+        _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15),
+        _mm512_set1_epi32(static_cast<int>(ars)));
+    for (std::size_t i0 = lo; i0 < hi; i0 += kPanelWidth) {
+      const __mmask16 msk = mask_for(std::min(kPanelWidth, hi - i0));
+      const float* a = A + i0 * ars;
+      __m512 acc = _mm512_setzero_ps();
+      for (std::size_t p = 0; p < k; ++p) {
+        const __m512 av =
+            ars == 1 ? _mm512_maskz_loadu_ps(msk, a + p * aps)
+                     : _mm512_mask_i32gather_ps(_mm512_setzero_ps(), msk, idx, a + p * aps, 4);
+        acc = _mm512_fmadd_ps(av, _mm512_set1_ps(B[p]), acc);
+      }
+      epi.put_column(i0, msk, acc);
+    }
+    return;
+  }
   for (std::size_t j0 = 0; j0 < m; j0 += kNr) {
     const std::size_t jw = std::min(kNr, m - j0);
     const __mmask16 m0 = mask_for(std::min<std::size_t>(jw, kPanelWidth));
@@ -234,47 +339,58 @@ void gemm_band(const float* A, std::size_t ars, std::size_t aps, const float* B,
     __m512 acc[kMr][2];
     for (; i0 + kMr <= hi; i0 += kMr) {
       tile_accumulate(A + i0 * ars, ars, aps, B + j0, m, k, m0, m1, acc);
-      for (std::size_t r = 0; r < kMr; ++r) {
-        float* c = C + (i0 + r) * m + j0;
-        _mm512_mask_storeu_ps(c, m0, acc[r][0]);
-        _mm512_mask_storeu_ps(c + 16, m1, acc[r][1]);
-      }
+      for (std::size_t r = 0; r < kMr; ++r) epi.put(i0 + r, j0, jw, m0, m1, acc[r][0], acc[r][1]);
     }
     for (; i0 < hi; ++i0) {
       __m512 al, ah;
       row_accumulate(A + i0 * ars, aps, B + j0, m, k, m0, m1, al, ah);
-      float* c = C + i0 * m + j0;
-      _mm512_mask_storeu_ps(c, m0, al);
-      _mm512_mask_storeu_ps(c + 16, m1, ah);
+      epi.put(i0, j0, jw, m0, m1, al, ah);
     }
   }
 }
 
 void gemm_row_band_f(const float* A, const float* B, float* C, std::size_t k,
                      std::size_t m, std::size_t lo, std::size_t hi) {
-  gemm_band(A, k, 1, B, C, k, m, lo, hi);
+  gemm_band(A, k, 1, B, k, m, lo, hi, StoreC{C, m});
 }
 
 void gemm_tn_band_f(const float* A, const float* B, float* C, std::size_t n,
                     std::size_t k, std::size_t m, std::size_t lo, std::size_t hi) {
-  gemm_band(A, 1, k, B, C, n, m, lo, hi);
+  gemm_band(A, 1, k, B, n, m, lo, hi, StoreC{C, m});
 }
 
-void add_row_vector_f(float* m, const float* v, std::size_t rows, std::size_t cols) {
-  const __mmask16 tail = mask_for(cols % 16);
-  for (std::size_t i = 0; i < rows; ++i) {
-    float* row = m + i * cols;
-    std::size_t j = 0;
-    for (; j + 16 <= cols; j += 16) {
-      _mm512_storeu_ps(row + j,
-                       _mm512_add_ps(_mm512_loadu_ps(row + j), _mm512_loadu_ps(v + j)));
-    }
-    if (j < cols) {
-      _mm512_mask_storeu_ps(row + j, tail,
-                            _mm512_add_ps(_mm512_maskz_loadu_ps(tail, row + j),
-                                          _mm512_maskz_loadu_ps(tail, v + j)));
-    }
+void dense_forward_band_f(const float* x, const float* w, const float* bias, Activation act,
+                          float* y, float* d, std::size_t k, std::size_t m, std::size_t lo,
+                          std::size_t hi) {
+  GPUFREQ_HOT("gpufreq::nn::kernels::(anonymous namespace)::dense_forward_band_f");
+  switch (act) {
+    case Activation::kLinear:
+      return gemm_band(x, k, 1, w, k, m, lo, hi, BiasAct<Activation::kLinear>{bias, y, d, m});
+    case Activation::kRelu:
+      return gemm_band(x, k, 1, w, k, m, lo, hi, BiasAct<Activation::kRelu>{bias, y, d, m});
+    case Activation::kElu:
+      return gemm_band(x, k, 1, w, k, m, lo, hi, BiasAct<Activation::kElu>{bias, y, d, m});
+    case Activation::kLeakyRelu:
+      return gemm_band(x, k, 1, w, k, m, lo, hi,
+                       BiasAct<Activation::kLeakyRelu>{bias, y, d, m});
+    case Activation::kSelu:
+      return gemm_band(x, k, 1, w, k, m, lo, hi, BiasAct<Activation::kSelu>{bias, y, d, m});
+    case Activation::kSigmoid:
+      return gemm_band(x, k, 1, w, k, m, lo, hi, BiasAct<Activation::kSigmoid>{bias, y, d, m});
+    case Activation::kSoftsign:
+      return gemm_band(x, k, 1, w, k, m, lo, hi, BiasAct<Activation::kSoftsign>{bias, y, d, m});
+    case Activation::kTanh:
+    case Activation::kSoftplus:
+      break;
   }
+  // tanh and softplus's value come from the scalar reference: z goes out
+  // through the plain store, then one pass adds the bias and activates.
+  gemm_band(x, k, 1, w, k, m, lo, hi, StoreC{y, m});
+  for (std::size_t i = lo; i < hi; ++i) {
+    float* yi = y + i * m;
+    for (std::size_t j = 0; j < m; ++j) yi[j] += bias[j];
+  }
+  activate_f(act, y + lo * m, y + lo * m, d == nullptr ? nullptr : d + lo * m, (hi - lo) * m);
 }
 
 void column_sums_f(const float* m, float* out, std::size_t rows, std::size_t cols) {
@@ -293,25 +409,6 @@ void column_sums_f(const float* m, float* out, std::size_t rows, std::size_t col
                                           _mm512_maskz_loadu_ps(tail, row + j)));
     }
   }
-}
-
-// Fused epilogue for one 16-lane panel slice: y = act(acc + bias), stored
-// through `msk` so nothing ever touches columns past jn. Non-vectorizable
-// acts bounce through a stack buffer and the scalar activation.
-inline void act_store(Activation act, __m512 z, float* y, __mmask16 msk,
-                      std::size_t jn) {
-  if (vectorizable(act)) {
-    _mm512_mask_storeu_ps(y, msk, act16(act, z));
-    return;
-  }
-  alignas(64) float tmp[kPanelWidth];
-  _mm512_store_ps(tmp, z);
-  detail::scalar_table().activate(act, tmp, y, jn);
-}
-
-inline void bias_act_store(Activation act, __m512 acc, __m512 biasv, float* y,
-                           __mmask16 msk, std::size_t jn) {
-  act_store(act, _mm512_add_ps(acc, biasv), y, msk, jn);
 }
 
 // One register tile of the fused layer: `live` (1..kMr) rows of x against
@@ -343,7 +440,8 @@ inline void dense_tile(const float* x, std::size_t k, std::size_t live,
   }
   for (std::size_t r = 0; r < live; ++r) {
     for (std::size_t c = 0; c < kPanels; ++c) {
-      bias_act_store(act, acc[r][c], biasv[c], y + r * n + c * kPanelWidth, msk[c], jn[c]);
+      act_store(act, _mm512_add_ps(acc[r][c], biasv[c]), y + r * n + c * kPanelWidth, nullptr,
+                msk[c], jn[c]);
     }
   }
 }
@@ -471,7 +569,7 @@ void dense_bias_act_i8_f(const std::int16_t* q, const float* row_scales,
         // -ffp-contract fuse them in one inlining context but not the
         // other, breaking tile-path == tail-path bitwise equality.
         act_store(act, _mm512_fmadd_ps(_mm512_cvtepi32_ps(acc[r]), s, biasv),
-                  y + (i + r) * n + j0, msk, jn);
+                  y + (i + r) * n + j0, nullptr, msk, jn);
       }
     }
     for (; i < hi; ++i) {
@@ -486,7 +584,7 @@ void dense_bias_act_i8_f(const std::int16_t* q, const float* row_scales,
       }
       const __m512 s = _mm512_mul_ps(_mm512_set1_ps(row_scales[i]), wsv);
       act_store(act, _mm512_fmadd_ps(_mm512_cvtepi32_ps(a), s, biasv),
-                y + i * n + j0, msk, jn);
+                y + i * n + j0, nullptr, msk, jn);
     }
   }
 }
@@ -531,7 +629,7 @@ __attribute__((target("avx512f,avx512bw,avx512vnni"))) void dense_bias_act_i8_vn
         // -ffp-contract fuse them in one inlining context but not the
         // other, breaking tile-path == tail-path bitwise equality.
         act_store(act, _mm512_fmadd_ps(_mm512_cvtepi32_ps(acc[r]), s, biasv),
-                  y + (i + r) * n + j0, msk, jn);
+                  y + (i + r) * n + j0, nullptr, msk, jn);
       }
     }
     for (; i < hi; ++i) {
@@ -546,7 +644,7 @@ __attribute__((target("avx512f,avx512bw,avx512vnni"))) void dense_bias_act_i8_vn
       }
       const __m512 s = _mm512_mul_ps(_mm512_set1_ps(row_scales[i]), wsv);
       act_store(act, _mm512_fmadd_ps(_mm512_cvtepi32_ps(a), s, biasv),
-                y + i * n + j0, msk, jn);
+                y + i * n + j0, nullptr, msk, jn);
     }
   }
 }
@@ -557,9 +655,9 @@ namespace detail {
 
 const KernelTable* avx512_table() {
   static const KernelTable table = {
-      "avx512",         gemm_row_band_f,     gemm_tn_band_f,   add_row_vector_f,
-      column_sums_f,    activate_f,          activate_backward_f,
-      dense_bias_act_f, quantize_rows_i8_f,
+      "avx512",           gemm_row_band_f,  gemm_tn_band_f,       transpose_f,
+      column_sums_f,      activate_f,       dense_forward_band_f, dense_bias_act_f,
+      quantize_rows_i8_f,
       __builtin_cpu_supports("avx512vnni") ? dense_bias_act_i8_vnni
                                            : dense_bias_act_i8_f,
   };

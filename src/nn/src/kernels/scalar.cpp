@@ -46,7 +46,7 @@ inline v8sf load8(const float* p) {
 // Accumulate the kMr x kNr tile into `acc` (row-major kMr x kNr floats),
 // every accumulator row starting at the `init16` lanes: zeros for a plain
 // product, the bias for the fused layer (z = bias + sum(a*b) then costs
-// nothing extra, and no separate add_row_vector pass is needed). Element
+// nothing extra, and no separate bias pass is needed). Element
 // (r, p) of the A operand sits at a[r * ars + p * aps]: (lda, 1) reads A
 // itself, (1, lda) reads A^T, so C = A*B and C = A^T*B share this tile.
 inline void tile_accumulate(const float* a, std::size_t ars, std::size_t aps, const float* b,
@@ -136,10 +136,9 @@ void gemm_tn_band_f(const float* A, const float* B, float* C, std::size_t n,
   gemm_band(A, 1, k, B, C, n, m, lo, hi);
 }
 
-void add_row_vector_f(float* m, const float* v, std::size_t rows, std::size_t cols) {
+void transpose_f(const float* src, float* dst, std::size_t rows, std::size_t cols) {
   for (std::size_t i = 0; i < rows; ++i) {
-    float* row = m + i * cols;
-    for (std::size_t j = 0; j < cols; ++j) row[j] += v[j];
+    for (std::size_t j = 0; j < cols; ++j) dst[j * rows + i] = src[i * cols + j];
   }
 }
 
@@ -151,59 +150,50 @@ void column_sums_f(const float* m, float* out, std::size_t rows, std::size_t col
   }
 }
 
-void activate_f(Activation act, const float* z, float* out, std::size_t n) {
-  using namespace scalar_math;
-  switch (act) {
-    case Activation::kLinear:
-      if (out != z) std::copy(z, z + n, out);
-      return;
-    case Activation::kRelu:
-      for (std::size_t i = 0; i < n; ++i) out[i] = z[i] > 0.0f ? z[i] : 0.0f;
-      return;
-    case Activation::kElu:
-      for (std::size_t i = 0; i < n; ++i) out[i] = elu_f(z[i]);
-      return;
-    case Activation::kLeakyRelu:
-      for (std::size_t i = 0; i < n; ++i) out[i] = z[i] > 0.0f ? z[i] : kLeakySlope * z[i];
-      return;
-    case Activation::kSelu:
-      for (std::size_t i = 0; i < n; ++i) out[i] = selu_f(z[i]);
-      return;
-    case Activation::kSigmoid:
-      for (std::size_t i = 0; i < n; ++i) out[i] = sigmoid_f(z[i]);
-      return;
-    case Activation::kTanh:
-      for (std::size_t i = 0; i < n; ++i) out[i] = std::tanh(z[i]);
-      return;
-    case Activation::kSoftplus:
-      for (std::size_t i = 0; i < n; ++i) out[i] = softplus_f(z[i]);
-      return;
-    case Activation::kSoftsign:
-      for (std::size_t i = 0; i < n; ++i) out[i] = softsign_f(z[i]);
-      return;
-  }
-}
-
+// One loop per activation, so each inlines its own elementwise code and
+// vectorizes branch-free; with a derivative the shared exp runs once.
 template <Activation kAct>
-void backward_loop(const float* z, const float* dy, float* dz, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) dz[i] = scalar_math::derivative_f(kAct, z[i]) * dy[i];
+void activate_loop(const float* z, float* y, float* d, std::size_t n) {
+  if (d == nullptr) {
+    for (std::size_t i = 0; i < n; ++i) y[i] = scalar_math::value_f(kAct, z[i]);
+    return;
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    float v, dv;
+    scalar_math::value_and_derivative_f(kAct, z[i], v, dv);
+    y[i] = v;
+    d[i] = dv;
+  }
 }
 
-void activate_backward_f(Activation act, const float* z, const float* dy, float* dz,
-                         std::size_t n) {
-  // One loop per activation, so each inlines its own derivative and
-  // vectorizes branch-free.
+void activate_f(Activation act, const float* z, float* y, float* d, std::size_t n) {
   switch (act) {
-    case Activation::kLinear: return backward_loop<Activation::kLinear>(z, dy, dz, n);
-    case Activation::kRelu: return backward_loop<Activation::kRelu>(z, dy, dz, n);
-    case Activation::kElu: return backward_loop<Activation::kElu>(z, dy, dz, n);
-    case Activation::kLeakyRelu: return backward_loop<Activation::kLeakyRelu>(z, dy, dz, n);
-    case Activation::kSelu: return backward_loop<Activation::kSelu>(z, dy, dz, n);
-    case Activation::kSigmoid: return backward_loop<Activation::kSigmoid>(z, dy, dz, n);
-    case Activation::kTanh: return backward_loop<Activation::kTanh>(z, dy, dz, n);
-    case Activation::kSoftplus: return backward_loop<Activation::kSoftplus>(z, dy, dz, n);
-    case Activation::kSoftsign: return backward_loop<Activation::kSoftsign>(z, dy, dz, n);
+    case Activation::kLinear: return activate_loop<Activation::kLinear>(z, y, d, n);
+    case Activation::kRelu: return activate_loop<Activation::kRelu>(z, y, d, n);
+    case Activation::kElu: return activate_loop<Activation::kElu>(z, y, d, n);
+    case Activation::kLeakyRelu: return activate_loop<Activation::kLeakyRelu>(z, y, d, n);
+    case Activation::kSelu: return activate_loop<Activation::kSelu>(z, y, d, n);
+    case Activation::kSigmoid: return activate_loop<Activation::kSigmoid>(z, y, d, n);
+    case Activation::kTanh: return activate_loop<Activation::kTanh>(z, y, d, n);
+    case Activation::kSoftplus: return activate_loop<Activation::kSoftplus>(z, y, d, n);
+    case Activation::kSoftsign: return activate_loop<Activation::kSoftsign>(z, y, d, n);
   }
+}
+
+void dense_forward_band_f(const float* x, const float* w, const float* bias, Activation act,
+                          float* y, float* d, std::size_t k, std::size_t m, std::size_t lo,
+                          std::size_t hi) {
+  GPUFREQ_HOT("gpufreq::nn::kernels::(anonymous namespace)::dense_forward_band_f");
+  // Same band-level shape as dense_bias_act below: the tile writes z, then
+  // one pass adds the bias and one activates the finished band. The bias
+  // is added after the chain (not used as its start), as the unfused
+  // composition did, so z keeps gemm_row_band's bits.
+  gemm_band(x, k, 1, w, y, k, m, lo, hi);
+  for (std::size_t i = lo; i < hi; ++i) {
+    float* yi = y + i * m;
+    for (std::size_t j = 0; j < m; ++j) yi[j] += bias[j];
+  }
+  activate_f(act, y + lo * m, y + lo * m, d == nullptr ? nullptr : d + lo * m, (hi - lo) * m);
 }
 
 void dense_bias_act_f(const float* x, const PackedWeights& w, const float* bias,
@@ -213,7 +203,7 @@ void dense_bias_act_f(const float* x, const PackedWeights& w, const float* bias,
   // accumulator block) was measured SLOWER than the unfused three-pass
   // path here: the extra round trips through the stack tile eat more than
   // the saved memory pass. What does win on this backend is (a) folding
-  // the bias into the accumulator *initialization* — the add_row_vector
+  // the bias into the accumulator *initialization* — the separate bias
   // pass disappears at zero cost — and (b) activating the finished band in
   // one contiguous span, the exact loop shape the auto-vectorizer already
   // handles for whole-matrix activation. Net: two passes over y instead of
@@ -251,7 +241,7 @@ void dense_bias_act_f(const float* x, const PackedWeights& w, const float* bias,
     }
   }
   // One contiguous activation pass over the completed band.
-  activate_f(act, y + lo * n, y + lo * n, (hi - lo) * n);
+  activate_f(act, y + lo * n, y + lo * n, nullptr, (hi - lo) * n);
 }
 
 void quantize_rows_i8_f(const float* x, std::size_t k, std::int16_t* q,
@@ -310,7 +300,7 @@ void dense_bias_act_i8_f(const std::int16_t* q, const float* row_scales,
     }
   }
   // Same band-level activation pass as the fp32 fused kernel.
-  activate_f(act, y + lo * n, y + lo * n, (hi - lo) * n);
+  activate_f(act, y + lo * n, y + lo * n, nullptr, (hi - lo) * n);
 }
 
 }  // namespace
@@ -319,9 +309,9 @@ namespace detail {
 
 const KernelTable& scalar_table() {
   static const KernelTable table = {
-      "scalar",         gemm_row_band_f,     gemm_tn_band_f,   add_row_vector_f,
-      column_sums_f,    activate_f,          activate_backward_f,
-      dense_bias_act_f, quantize_rows_i8_f,  dense_bias_act_i8_f,
+      "scalar",           gemm_row_band_f,  gemm_tn_band_f,     transpose_f,
+      column_sums_f,      activate_f,       dense_forward_band_f, dense_bias_act_f,
+      quantize_rows_i8_f, dense_bias_act_i8_f,
   };
   return table;
 }

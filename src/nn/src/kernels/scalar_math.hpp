@@ -67,6 +67,22 @@ inline float softplus_f(float x) {
 }
 inline float softsign_f(float x) { return x / (1.0f + std::abs(x)); }
 
+// act(x).
+inline float value_f(Activation act, float x) {
+  switch (act) {
+    case Activation::kLinear: return x;
+    case Activation::kRelu: return x > 0.0f ? x : 0.0f;
+    case Activation::kElu: return elu_f(x);
+    case Activation::kLeakyRelu: return x > 0.0f ? x : kLeakySlope * x;
+    case Activation::kSelu: return selu_f(x);
+    case Activation::kSigmoid: return sigmoid_f(x);
+    case Activation::kTanh: return std::tanh(x);
+    case Activation::kSoftplus: return softplus_f(x);
+    case Activation::kSoftsign: return softsign_f(x);
+  }
+  return x;
+}
+
 // d act(x) / dx given the pre-activation x.
 inline float derivative_f(Activation act, float x) {
   switch (act) {
@@ -91,6 +107,42 @@ inline float derivative_f(Activation act, float x) {
     }
   }
   return 1.0f;
+}
+
+// y = act(x) and d = act'(x) with the shared exp, sigmoid or tanh
+// evaluated once. Every expression is the one value_f and derivative_f
+// round, so both results are bitwise theirs.
+inline void value_and_derivative_f(Activation act, float x, float& y, float& d) {
+  switch (act) {
+    case Activation::kElu: {
+      const float e = fast_expf(x);
+      y = x > 0.0f ? x : e - 1.0f;
+      d = x > 0.0f ? 1.0f : e;
+      return;
+    }
+    case Activation::kSelu: {
+      const float e = fast_expf(x);
+      y = x > 0.0f ? kSeluScale * x : kSeluScale * kSeluAlpha * (e - 1.0f);
+      d = x > 0.0f ? kSeluScale : kSeluScale * kSeluAlpha * e;
+      return;
+    }
+    case Activation::kSigmoid: {
+      const float s = sigmoid_f(x);
+      y = s;
+      d = s * (1.0f - s);
+      return;
+    }
+    case Activation::kTanh: {
+      const float t = std::tanh(x);
+      y = t;
+      d = 1.0f - t * t;
+      return;
+    }
+    default:
+      y = value_f(act, x);
+      d = derivative_f(act, x);
+      return;
+  }
 }
 
 }  // namespace gpufreq::nn::kernels::scalar_math

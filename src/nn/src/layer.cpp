@@ -29,16 +29,24 @@ void DenseLayer::register_params(Optimizer& opt) {
 void DenseLayer::forward(const Matrix& x, Matrix& out) {
   GPUFREQ_REQUIRE(x.cols() == w_.rows(), "DenseLayer::forward: input width mismatch");
   cached_x_ = &x;
-  gemm(x, w_, cached_z_);
-  add_row_vector(cached_z_, b_);
-  out.resize_uninit(cached_z_.rows(), cached_z_.cols());
-  activate(act_, cached_z_.flat(), out.flat());
+  const std::size_t rows = x.rows(), m = w_.cols();
+  out.resize_uninit(rows, m);
+  deriv_.resize_uninit(rows, m);
+  kernels::active().dense_forward_band(x.flat().data(), w_.flat().data(), b_.data(), act_,
+                                       out.flat().data(), deriv_.flat().data(), w_.rows(), m,
+                                       0, rows);
+  GPUFREQ_DCHECK_FINITE(out);
 }
 
 void DenseLayer::forward_rows(const float* x, float* y, std::size_t rows) const {
   GPUFREQ_HOT("gpufreq::nn::DenseLayer::forward_rows");
-  GPUFREQ_REQUIRE(!packed_.empty(), "DenseLayer::forward_rows: weights not packed");
-  kernels::active().dense_bias_act(x, packed_, b_.data(), act_, y, 0, rows);
+  const kernels::KernelTable& kt = kernels::active();
+  if (packed_.empty()) {
+    kt.dense_forward_band(x, w_.flat().data(), b_.data(), act_, y, nullptr, w_.rows(), w_.cols(),
+                          0, rows);
+  } else {
+    kt.dense_bias_act(x, packed_, b_.data(), act_, y, 0, rows);
+  }
   const std::span<const float> out(y, rows * w_.cols());
   GPUFREQ_DCHECK_FINITE(out);
 }
@@ -61,14 +69,16 @@ void DenseLayer::prepare_inference(Precision precision) {
   if (precision == Precision::kInt8) qpacked_.pack(w_);
 }
 
-void DenseLayer::backward(const Matrix& delta, Matrix& dx) {
+void DenseLayer::backward(const Matrix& delta, Matrix* dx) {
   GPUFREQ_REQUIRE(cached_x_ != nullptr, "DenseLayer::backward: forward not called");
-  GPUFREQ_REQUIRE(delta.rows() == cached_z_.rows() && delta.cols() == cached_z_.cols(),
+  GPUFREQ_REQUIRE(delta.rows() == deriv_.rows() && delta.cols() == deriv_.cols(),
                   "DenseLayer::backward: delta shape mismatch (forward not called?)");
-  // dL/dZ = act'(Z) * dL/dY, one fused pass
+  // dL/dZ = act'(Z) * dL/dY, with act'(Z) as the forward pass wrote it.
   delta_z_.resize_uninit(delta.rows(), delta.cols());
-  kernels::active().activate_backward(act_, cached_z_.flat().data(), delta.flat().data(),
-                                      delta_z_.flat().data(), delta_z_.size());
+  const float* d = deriv_.flat().data();
+  const float* dy = delta.flat().data();
+  float* dz = delta_z_.flat().data();
+  for (std::size_t i = 0; i < delta_z_.size(); ++i) dz[i] = d[i] * dy[i];
 
   // Parameter gradients, averaged over the batch.
   gemm_tn(*cached_x_, delta_z_, grad_w_);
@@ -78,8 +88,16 @@ void DenseLayer::backward(const Matrix& delta, Matrix& dx) {
   for (float& v : grad_w_.flat()) v *= inv_batch;
   for (float& v : grad_b_) v *= inv_batch;
 
-  // dL/dX = dL/dZ * W^T
-  gemm_nt(delta_z_, w_, dx);
+  if (dx == nullptr) return;
+  // dL/dX = dL/dZ * W^T: one block transpose of W, then the same row-band
+  // GEMM as the forward pass.
+  const kernels::KernelTable& kt = kernels::active();
+  wt_.resize_uninit(w_.cols(), w_.rows());
+  kt.transpose(w_.flat().data(), wt_.flat().data(), w_.rows(), w_.cols());
+  dx->resize_uninit(delta.rows(), w_.rows());
+  kt.gemm_row_band(dz, wt_.flat().data(), dx->flat().data(), w_.cols(), w_.rows(), 0,
+                   delta.rows());
+  GPUFREQ_DCHECK_FINITE(*dx);
 }
 
 void DenseLayer::apply_gradients(Optimizer& opt) {

@@ -70,22 +70,6 @@ void grow(std::vector<T>& v, std::size_t n) {
   if (v.size() < n) gpufreq::detail::workspace_resize(v, n);
 }
 
-// Unprepared networks (e.g. training-time evaluate): per layer, gemm, bias
-// add and in-place activation over the whole batch, ping-ponging between
-// `scratch` and `out` so that the last layer lands in `out`.
-const Matrix& predict_unfused(const std::vector<DenseLayer>& layers, const Matrix& x,
-                              Matrix& scratch, Matrix& out) {
-  const Matrix* cur = &x;
-  for (std::size_t i = 0; i < layers.size(); ++i) {
-    const DenseLayer& l = layers[i];
-    Matrix& dst = (layers.size() - 1 - i) % 2 == 0 ? out : scratch;
-    gemm(*cur, l.weights(), dst);
-    add_row_vector(dst, l.bias());
-    activate(l.activation(), dst.flat(), dst.flat());
-    cur = &dst;
-  }
-  return out;
-}
 }  // namespace
 
 const Matrix& Network::predict_into(const Matrix& x, InferenceWorkspace& ws,
@@ -94,10 +78,6 @@ const Matrix& Network::predict_into(const Matrix& x, InferenceWorkspace& ws,
   GPUFREQ_REQUIRE(!layers_.empty(), "Network::predict: empty network");
   GPUFREQ_REQUIRE(x.rows() > 0, "Network::predict: empty batch");
   GPUFREQ_REQUIRE(x.cols() == input_dim(), "Network::predict: input width mismatch");
-  if (!inference_prepared(Precision::kFp32)) {
-    return predict_unfused(layers_, x, ws.tiles_, ws.out_);
-  }
-
   const std::size_t rows = x.rows();
   const std::size_t width = hidden_width(layers_);
   const bool int8 = precision == Precision::kInt8;
@@ -203,7 +183,7 @@ double Network::train_step(const Matrix& x, const Matrix& y, Loss loss, Optimize
   const double batch_loss = compute_loss(loss, *cur, y);
   loss_gradient(loss, *cur, y, grad_);
   for (std::size_t i = layers_.size(); i-- > 0;) {
-    layers_[i].backward(grad_, dx_);
+    layers_[i].backward(grad_, i == 0 ? nullptr : &dx_);
     std::swap(grad_, dx_);
   }
   for (auto& l : layers_) l.apply_gradients(opt);
@@ -212,7 +192,7 @@ double Network::train_step(const Matrix& x, const Matrix& y, Loss loss, Optimize
 }
 
 double Network::evaluate(const Matrix& x, const Matrix& y, Loss loss) const {
-  return compute_loss(loss, predict(x), y);
+  return compute_loss(loss, predict_into(x, fallback_workspace()), y);
 }
 
 std::vector<LayerSpec> Network::paper_architecture(std::size_t hidden_layers,

@@ -85,7 +85,7 @@ TrainHistory Trainer::fit(Network& net, const Matrix& x, const Matrix& y) const 
 
   Matrix xb, yb;  // batch scratch, reused across every epoch
   for (std::size_t epoch = 0; epoch < config_.epochs; ++epoch) {
-    if (config_.shuffle_each_epoch) batch_order = rng.permutation(n_train);
+    if (config_.shuffle_each_epoch) rng.permutation(batch_order);
 
     double epoch_loss = 0.0;
     std::size_t batches = 0;

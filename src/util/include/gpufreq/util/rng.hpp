@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace gpufreq {
@@ -38,6 +39,10 @@ class Rng {
 
   /// Fisher–Yates shuffle of an index vector [0, n).
   std::vector<std::size_t> permutation(std::size_t n);
+
+  /// The same permutation of [0, out.size()) written into `out`, with no
+  /// allocation.
+  void permutation(std::span<std::size_t> out);
 
   /// Derive an independent child generator (stable given the same label).
   /// Used to give each (workload, frequency, run) its own stream so adding

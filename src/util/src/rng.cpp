@@ -73,12 +73,16 @@ double Rng::lognormal_jitter(double sigma) { return std::exp(normal(0.0, sigma))
 
 std::vector<std::size_t> Rng::permutation(std::size_t n) {
   std::vector<std::size_t> idx(n);
-  std::iota(idx.begin(), idx.end(), std::size_t{0});
-  for (std::size_t i = n; i > 1; --i) {
-    const std::size_t j = static_cast<std::size_t>(uniform_index(i));
-    std::swap(idx[i - 1], idx[j]);
-  }
+  permutation(idx);
   return idx;
+}
+
+void Rng::permutation(std::span<std::size_t> out) {
+  std::iota(out.begin(), out.end(), std::size_t{0});
+  for (std::size_t i = out.size(); i > 1; --i) {
+    const std::size_t j = static_cast<std::size_t>(uniform_index(i));
+    std::swap(out[i - 1], out[j]);
+  }
 }
 
 Rng Rng::fork(std::uint64_t label) const { return Rng(hash_combine(seed_, label)); }

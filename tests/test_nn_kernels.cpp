@@ -9,16 +9,19 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <limits>
 #include <vector>
 
 #include "gpufreq/nn/kernels/dispatch.hpp"
 #include "gpufreq/nn/kernels/kernel_table.hpp"
+#include "gpufreq/nn/layer.hpp"
 #include "gpufreq/nn/network.hpp"
 #include "gpufreq/nn/precision.hpp"
 #include "gpufreq/util/error.hpp"
 #include "gpufreq/util/rng.hpp"
 #include "gpufreq/util/thread_pool.hpp"
+#include "unfused_training_reference.hpp"
 
 namespace gpufreq::nn::kernels {
 namespace {
@@ -61,11 +64,9 @@ void expect_close(const std::vector<float>& a, const std::vector<float>& b,
 // Unfused reference through one table: z = x*w, z += bias, act(z).
 std::vector<float> unfused_reference(const KernelTable& kt, const Matrix& x, const Matrix& w,
                                      const std::vector<float>& bias, Activation act) {
-  const std::size_t rows = x.rows(), n = w.cols();
-  std::vector<float> z(rows * n);
-  kt.gemm_row_band(x.flat().data(), w.flat().data(), z.data(), w.rows(), n, 0, rows);
-  kt.add_row_vector(z.data(), bias.data(), rows, n);
-  kt.activate(act, z.data(), z.data(), rows * n);
+  std::vector<float> z = unfused_reference::pre_activation(
+      kt, x.flat().data(), w.flat().data(), bias.data(), x.rows(), w.rows(), w.cols());
+  kt.activate(act, z.data(), z.data(), nullptr, z.size());
   return z;
 }
 
@@ -301,10 +302,10 @@ void check_simd_parity(const KernelTable& av) {
     av.gemm_tn_band(x.flat().data(), b2.flat().data(), ta.data(), s.rows, s.k, s.n, 0, s.k);
     expect_close(ts, ta);
 
-    std::vector<float> ms = cs, ma = cs;
-    sc.add_row_vector(ms.data(), bias.data(), s.rows, s.n);
-    av.add_row_vector(ma.data(), bias.data(), s.rows, s.n);
-    expect_close(ms, ma, 0.0, 0.0);  // additions only: exact
+    std::vector<float> ms = cs;
+    for (std::size_t i = 0; i < s.rows; ++i) {
+      for (std::size_t j = 0; j < s.n; ++j) ms[i * s.n + j] += bias[j];
+    }
 
     std::vector<float> sums_s(s.n), sums_a(s.n);
     sc.column_sums(cs.data(), sums_s.data(), s.rows, s.n);
@@ -313,8 +314,8 @@ void check_simd_parity(const KernelTable& av) {
 
     for (Activation act : kAllActivations) {
       std::vector<float> as(ms.size()), aa(ms.size());
-      sc.activate(act, ms.data(), as.data(), ms.size());
-      av.activate(act, ms.data(), aa.data(), ms.size());
+      sc.activate(act, ms.data(), as.data(), nullptr, ms.size());
+      av.activate(act, ms.data(), aa.data(), nullptr, ms.size());
       expect_close(as, aa);
       expect_close(fused(sc, x, w, bias, act), fused(av, x, w, bias, act));
     }
@@ -498,6 +499,59 @@ TEST(KernelParity, GemmTnScalarIsBandIndependentAndNearFmaChain) {
   }
 }
 
+// C = A * B, A: n x k, B: k x m, as one std::fma chain per element from
+// zero with p ascending: the order every SIMD backend's gemm_row_band
+// promises, including the one-column path that gives each lane a C row.
+std::vector<float> gemm_fma_reference(const Matrix& a, const Matrix& b) {
+  const std::size_t n = a.rows(), k = a.cols(), m = b.cols();
+  std::vector<float> c(n * m);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < m; ++j) {
+      float acc = 0.0f;
+      for (std::size_t p = 0; p < k; ++p) acc = std::fma(a(i, p), b(p, j), acc);
+      c[i * m + j] = acc;
+    }
+  }
+  return c;
+}
+
+// gemm_row_band over rows [0, n) in bands of 5, 3, 7, 1, 5, 3, ... rows.
+std::vector<float> gemm_ragged_bands(const KernelTable& kt, const Matrix& a, const Matrix& b) {
+  const std::size_t n = a.rows(), k = a.cols(), m = b.cols();
+  std::vector<float> c(n * m, -1.0f);
+  const std::size_t widths[] = {5, 3, 7, 1};
+  for (std::size_t lo = 0, w = 0; lo < n; ++w) {
+    const std::size_t hi = std::min(n, lo + widths[w % 4]);
+    kt.gemm_row_band(a.flat().data(), b.flat().data(), c.data(), k, m, lo, hi);
+    lo = hi;
+  }
+  return c;
+}
+
+TEST(KernelParity, GemmRowBandSimdMatchesFmaChainBitwise) {
+  // Every row count 1..67 (so every remainder mod 8 and mod 16 of the
+  // one-column path's lanes), m = 1 for that path and wider m for the
+  // column tiles and their tails.
+  for (const KernelTable* kt : all_available_tables()) {
+    if (kt == &detail::scalar_table()) continue;
+    SCOPED_TRACE(kt->name);
+    for (std::size_t n = 1; n <= 67; ++n) {
+      for (std::size_t k : {1, 3, 64, 67}) {
+        for (std::size_t m : {1, 2, 7, 16, 29, 33}) {
+          SCOPED_TRACE(::testing::Message() << "n=" << n << " k=" << k << " m=" << m);
+          const Matrix a = random_matrix(n, k, 233 + n);
+          const Matrix b = random_matrix(k, m, 239 + k * 64 + m);
+          const std::vector<float> ref = gemm_fma_reference(a, b);
+          std::vector<float> whole(n * m);
+          kt->gemm_row_band(a.flat().data(), b.flat().data(), whole.data(), k, m, 0, n);
+          expect_bitwise(whole, ref);
+          expect_bitwise(gemm_ragged_bands(*kt, a, b), ref);
+        }
+      }
+    }
+  }
+}
+
 // Pre-activations with every edge of the exp-based derivatives: signed
 // zeros, NaN, infinities, the -87/88 clamp bounds and just past them,
 // then ordinary values. 53 entries, so prefixes cover ragged vector tails.
@@ -523,9 +577,12 @@ TEST(KernelActivationBackward, MatchesDerivativeTimesUpstream) {
       SCOPED_TRACE(to_string(act));
       for (std::size_t n : {1, 5, 8, 15, 16, 17, 31, 33, 53}) {
         SCOPED_TRACE(::testing::Message() << "n=" << n);
-        std::vector<float> want(n), got(n, -7.0f);
+        // dL/dz is the derivative the activate entry writes next to its
+        // value, times dL/dy, as the training backward pass forms it.
+        std::vector<float> want(n), y(n), got(n, -7.0f);
         for (std::size_t i = 0; i < n; ++i) want[i] = activate_derivative(act, z[i]) * dy[i];
-        kt->activate_backward(act, z.data(), dy.data(), got.data(), n);
+        kt->activate(act, z.data(), y.data(), got.data(), n);
+        for (std::size_t i = 0; i < n; ++i) got[i] *= dy[i];
         if (reference) {
           expect_bitwise(got, want);
           continue;
@@ -537,6 +594,164 @@ TEST(KernelActivationBackward, MatchesDerivativeTimesUpstream) {
             const double tol = 2e-5 + 1e-5 * std::fabs(static_cast<double>(want[i]));
             EXPECT_NEAR(got[i], want[i], tol) << "at index " << i;
           }
+        }
+      }
+    }
+  }
+}
+
+// Floats every 65537th bit pattern (both signs, every exponent, NaNs and
+// denormals), plus the edges of the exp-based activations: signed zeros,
+// infinities, NaN, the smallest and largest denormals, the -87/88 clamp
+// bounds and either side of them, and the band just above -87 where the
+// exp's 2^fx scale reaches 2^-126.
+std::vector<float> float_sweep() {
+  std::vector<float> v;
+  for (std::uint64_t bits = 0; bits < (std::uint64_t{1} << 32); bits += 65537) {
+    const auto b = static_cast<std::uint32_t>(bits);
+    float f;
+    std::memcpy(&f, &b, sizeof(f));
+    v.push_back(f);
+  }
+  const float inf = std::numeric_limits<float>::infinity();
+  const float den_min = std::numeric_limits<float>::denorm_min();
+  const float norm_min = std::numeric_limits<float>::min();
+  for (float e : {0.0f, -0.0f, inf, -inf, std::numeric_limits<float>::quiet_NaN(), den_min,
+                  -den_min, norm_min - den_min, -(norm_min - den_min), norm_min, -norm_min,
+                  -87.0f, 88.0f, -87.5f, 88.5f, -86.99f, -86.98f, 87.99f, -86.9f, 87.9f,
+                  1e-30f, -1e-30f}) {
+    v.push_back(e);
+  }
+  return v;
+}
+
+TEST(KernelTrainingForward, MatchesUnfusedLanesOverFloatSweep) {
+  // The fused forward's epilogue over every sweep value: x is a column,
+  // W a row of ones and the bias zero, so z = x (with -0 arriving as +0
+  // from the chain's zero start). y and d must be the unfused
+  // activate and activate_backward(dy = 1) bits; the activate entry
+  // (with and without d) must agree with both.
+  const std::vector<float> z = float_sweep();
+  const std::size_t rows = z.size(), m = 19;  // a full 16-lane block plus a masked tail
+  const std::vector<float> ones(m, 1.0f), zeros(m, 0.0f);
+  for (const KernelTable* kt : all_available_tables()) {
+    SCOPED_TRACE(kt->name);
+    const std::vector<float> zz =
+        unfused_reference::pre_activation(*kt, z.data(), ones.data(), zeros.data(), rows, 1, m);
+    for (Activation act : kAllActivations) {
+      SCOPED_TRACE(to_string(act));
+      std::vector<float> want_y(zz.size()), want_d(zz.size());
+      for (std::size_t i = 0; i < zz.size(); ++i) {
+        want_y[i] = unfused_reference::act(*kt, act, zz[i]);
+        want_d[i] = unfused_reference::derivative(*kt, act, zz[i]);
+      }
+      std::vector<float> y(zz.size()), d(zz.size());
+      kt->dense_forward_band(z.data(), ones.data(), zeros.data(), act, y.data(), d.data(), 1, m,
+                             0, rows);
+      expect_bitwise(y, want_y);
+      expect_bitwise(d, want_d);
+
+      std::vector<float> ya(z.size()), da(z.size()), yo(z.size());
+      kt->activate(act, z.data(), ya.data(), da.data(), z.size());
+      kt->activate(act, z.data(), yo.data(), nullptr, z.size());
+      std::vector<float> want_ya(z.size()), want_da(z.size());
+      for (std::size_t i = 0; i < z.size(); ++i) {
+        want_ya[i] = unfused_reference::act(*kt, act, z[i]);
+        want_da[i] = unfused_reference::derivative(*kt, act, z[i]);
+      }
+      expect_bitwise(ya, want_ya);
+      expect_bitwise(yo, want_ya);
+      expect_bitwise(da, want_da);
+    }
+  }
+}
+
+TEST(KernelTrainingForward, FusedForwardMatchesUnfusedCompositionBitwise) {
+  // (y, d) from one kernel equal gemm_row_band -> bias add -> activate and
+  // activate_backward with dy = 1, bit for bit, on every backend and
+  // shape; without d the same y; and split into ragged row bands the same
+  // bits again (rows are independent).
+  std::vector<Shape> shapes(std::begin(kShapes), std::end(kShapes));
+  for (std::size_t n : {1, 3, 8, 15, 17, 31, 33, 64, 67}) shapes.push_back({13, 9, n});
+  for (const KernelTable* kt : all_available_tables()) {
+    SCOPED_TRACE(kt->name);
+    for (const Shape& s : shapes) {
+      SCOPED_TRACE(::testing::Message() << "rows=" << s.rows << " k=" << s.k << " n=" << s.n);
+      Matrix x = random_matrix(s.rows, s.k, 303 + s.rows);
+      for (float& v : x.flat()) v *= 4.0f;  // reach the exp's clamp region too
+      const Matrix w = random_matrix(s.k, s.n, 307 + s.n);
+      const std::vector<float> bias = random_vec(s.n, 311 + s.k);
+      const std::vector<float> z = unfused_reference::pre_activation(
+          *kt, x.flat().data(), w.flat().data(), bias.data(), s.rows, s.k, s.n);
+      for (Activation act : kAllActivations) {
+        SCOPED_TRACE(to_string(act));
+        std::vector<float> want_y(z.size()), want_d(z.size());
+        for (std::size_t i = 0; i < z.size(); ++i) {
+          want_y[i] = unfused_reference::act(*kt, act, z[i]);
+          want_d[i] = unfused_reference::derivative(*kt, act, z[i]);
+        }
+        std::vector<float> y(z.size()), d(z.size()), y_only(z.size()), y_bands(z.size()),
+            d_bands(z.size());
+        kt->dense_forward_band(x.flat().data(), w.flat().data(), bias.data(), act, y.data(),
+                               d.data(), s.k, s.n, 0, s.rows);
+        kt->dense_forward_band(x.flat().data(), w.flat().data(), bias.data(), act,
+                               y_only.data(), nullptr, s.k, s.n, 0, s.rows);
+        const std::size_t widths[] = {5, 3, 7, 1};
+        for (std::size_t lo = 0, b = 0; lo < s.rows; ++b) {
+          const std::size_t hi = std::min(s.rows, lo + widths[b % 4]);
+          kt->dense_forward_band(x.flat().data(), w.flat().data(), bias.data(), act,
+                                 y_bands.data(), d_bands.data(), s.k, s.n, lo, hi);
+          lo = hi;
+        }
+        expect_bitwise(y, want_y);
+        expect_bitwise(d, want_d);
+        expect_bitwise(y_only, want_y);
+        expect_bitwise(y_bands, want_y);
+        expect_bitwise(d_bands, want_d);
+        expect_bitwise(y, unfused_reference(*kt, x, w, bias, act));
+      }
+    }
+  }
+}
+
+std::vector<Backend> all_available_backends() {
+  std::vector<Backend> backends = {Backend::kScalar};
+  if (avx2_available()) backends.push_back(Backend::kAvx2);
+  if (avx512_available()) backends.push_back(Backend::kAvx512);
+  return backends;
+}
+
+TEST(KernelTranspose, DxPathMatchesTransposeThenGemmBitwise) {
+  // DenseLayer::backward forms dL/dX from the block transpose of W and
+  // gemm_row_band; it must equal a plain-loop transpose followed by the
+  // same row-band GEMM (what gemm_nt used to run), bit for bit, on ragged
+  // shapes that leave every 8x8 block edge partial. The transpose itself
+  // must move every element exactly.
+  const std::size_t dims[] = {1, 2, 3, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 67};
+  for (Backend backend : all_available_backends()) {
+    SCOPED_TRACE(to_string(backend));
+    ScopedBackend guard(backend);
+    const KernelTable& kt = active();
+    for (std::size_t in : dims) {
+      for (std::size_t out : dims) {
+        SCOPED_TRACE(::testing::Message() << "in=" << in << " out=" << out);
+        DenseLayer layer(in, out, Activation::kLinear);
+        layer.weights() = random_matrix(in, out, 401 + in * 71 + out);
+        const Matrix wt = unfused_reference::transposed(layer.weights());
+        std::vector<float> got_t(wt.size(), -1.0f);
+        kt.transpose(layer.weights().flat().data(), got_t.data(), in, out);
+        expect_bitwise(got_t, std::vector<float>(wt.flat().begin(), wt.flat().end()));
+
+        for (std::size_t rows : {1, 7, 67}) {
+          const Matrix x = random_matrix(rows, in, 409 + rows);
+          const Matrix delta = random_matrix(rows, out, 419 + rows);
+          Matrix y, dx;
+          layer.forward(x, y);
+          layer.backward(delta, &dx);  // linear: dL/dZ is delta exactly
+          std::vector<float> want(rows * in);
+          kt.gemm_row_band(delta.flat().data(), wt.flat().data(), want.data(), out, in, 0,
+                           rows);
+          expect_bitwise(std::vector<float>(dx.flat().begin(), dx.flat().end()), want);
         }
       }
     }
@@ -813,14 +1028,14 @@ std::vector<float> maddubs_reference(const std::int16_t* q, const float* row_sca
         }
         const float dot =
             static_cast<float>(acc) * 256.0f - static_cast<float>(cs) * 16256.0f;
-        // volatile: keep -ffp-contract=fast from fusing the scale multiply
-        // and the bias add into one FMA — the kernel rounds between them.
-        volatile float z = dot * (row_scales[i] * ws[jc]);
+        // Two roundings, as in the kernel: this TU builds with
+        // -ffp-contract=off, so the multiply and the bias add stay apart.
+        const float z = dot * (row_scales[i] * ws[jc]);
         y[i * n + j0 + jc] = z + bias[j0 + jc];
       }
     }
   }
-  detail::scalar_table().activate(act, y.data(), y.data(), rows * n);
+  detail::scalar_table().activate(act, y.data(), y.data(), nullptr, rows * n);
   return y;
 }
 

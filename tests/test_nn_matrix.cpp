@@ -94,19 +94,6 @@ TEST(GemmTn, MatchesNaiveTranspose) {
   expect_matrix_near(c, naive_gemm(at, b), 1e-5f);
 }
 
-TEST(GemmNt, MatchesNaiveTranspose) {
-  Rng rng(3);
-  const Matrix a = random_matrix(5, 4, rng);
-  const Matrix b = random_matrix(7, 4, rng);  // b^T is 4x7
-  Matrix c;
-  gemm_nt(a, b, c);
-  Matrix bt(b.cols(), b.rows());
-  for (std::size_t i = 0; i < b.rows(); ++i) {
-    for (std::size_t j = 0; j < b.cols(); ++j) bt(j, i) = b(i, j);
-  }
-  expect_matrix_near(c, naive_gemm(a, bt), 1e-5f);
-}
-
 TEST(Gemm, IdentityIsNeutral) {
   Rng rng(4);
   const Matrix a = random_matrix(4, 4, rng);
@@ -115,20 +102,6 @@ TEST(Gemm, IdentityIsNeutral) {
   Matrix c;
   gemm(a, eye, c);
   expect_matrix_near(c, a, 1e-6f);
-}
-
-TEST(AddRowVector, AddsBiasToEveryRow) {
-  Matrix m(2, 3, 1.0f);
-  const std::vector<float> v = {1.0f, 2.0f, 3.0f};
-  add_row_vector(m, v);
-  EXPECT_FLOAT_EQ(m(0, 0), 2.0f);
-  EXPECT_FLOAT_EQ(m(1, 2), 4.0f);
-}
-
-TEST(AddRowVector, WidthMismatchThrows) {
-  Matrix m(2, 3);
-  const std::vector<float> v = {1.0f};
-  EXPECT_THROW(add_row_vector(m, v), InvalidArgument);
 }
 
 TEST(ColumnSums, SumsColumns) {
@@ -154,32 +127,28 @@ void expect_matrix_bitwise_equal(const Matrix& a, const Matrix& b) {
 }
 
 TEST(Matrix, GemmVariantsBitwiseIdenticalAcrossThreadCounts) {
-  // The contract documented on gemm/gemm_tn/gemm_nt: the accumulation
-  // order is fixed by the grain, never by the thread count, so results are
-  // bitwise identical (max-abs-diff exactly 0) for any set_num_threads.
+  // The contract documented on gemm/gemm_tn: the accumulation order is
+  // fixed by the grain, never by the thread count, so results are bitwise
+  // identical (max-abs-diff exactly 0) for any set_num_threads.
   Rng rng(77);
   const Matrix a = random_matrix(131, 67, rng);   // odd sizes exercise tails
   const Matrix b = random_matrix(67, 53, rng);
   const Matrix p = random_matrix(131, 67, rng);
   const Matrix q = random_matrix(131, 53, rng);
-  const Matrix s = random_matrix(53, 67, rng);
 
   set_num_threads(1);
-  Matrix c_serial, tn_serial, nt_serial;
+  Matrix c_serial, tn_serial;
   gemm(a, b, c_serial);
   gemm_tn(p, q, tn_serial);
-  gemm_nt(a, s, nt_serial);
 
   set_num_threads(4);
-  Matrix c_par, tn_par, nt_par;
+  Matrix c_par, tn_par;
   gemm(a, b, c_par);
   gemm_tn(p, q, tn_par);
-  gemm_nt(a, s, nt_par);
   set_num_threads(0);
 
   expect_matrix_bitwise_equal(c_serial, c_par);
   expect_matrix_bitwise_equal(tn_serial, tn_par);
-  expect_matrix_bitwise_equal(nt_serial, nt_par);
 
   // And the tiled kernel still agrees with the reference triple loop.
   expect_matrix_near(c_serial, naive_gemm(a, b), 1e-3f);

@@ -257,9 +257,10 @@ TEST(NetworkChunkMajor, MatchesLayerByLayerBitwise) {
 }
 
 TEST(NetworkChunkMajor, UnpreparedNetworkRunsUnfusedFallback) {
-  // Without packed weights every layer runs gemm + bias + activation on
-  // the whole batch: the training-time path evaluate() relies on. Even
-  // and odd layer counts both end in the returned matrix.
+  // Without packed weights every layer runs the training forward's kernel
+  // over the unpacked weights: bitwise gemm + bias + activation on the
+  // whole batch, the path evaluate() relies on. Even and odd layer counts
+  // both end in the returned matrix.
   Network even(3, Network::paper_architecture(), 47);
   Network odd(3, Network::paper_architecture(2), 53);
   for (const Network* net : {&even, &odd}) {
@@ -271,7 +272,9 @@ TEST(NetworkChunkMajor, UnpreparedNetworkRunsUnfusedFallback) {
       const DenseLayer& l = net->layer(i);
       Matrix z;
       gemm(cur, l.weights(), z);
-      add_row_vector(z, l.bias());
+      for (std::size_t r = 0; r < z.rows(); ++r) {
+        for (std::size_t c = 0; c < z.cols(); ++c) z(r, c) += l.bias()[c];
+      }
       activate(l.activation(), z.flat(), z.flat());
       cur = std::move(z);
     }
