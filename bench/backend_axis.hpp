@@ -1,54 +1,41 @@
 #pragma once
 
-// Shared backend x precision bench axes for the perf binaries
+// Shared kernel-backend bench axis for the perf binaries
 // (perf_inference_sweep, perf_serve): arg0 selects the kernel backend
-// (0 = scalar, 1 = avx2, 2 = avx512), arg1 the inference precision
-// (0 = fp32, 1 = int8). Rows whose backend the CPU/binary lacks are
-// skipped with an explicit error so the JSON stays comparable across
-// hosts, and every row is tagged with `backend` and `precision` counters
-// (backend ordinal; precision as bit width 32/8) so BENCH_perf.json rows
-// are filterable without parsing benchmark names.
+// (0 = scalar, 1 = avx2, 2 = avx512). Rows whose backend the CPU/binary
+// lacks are skipped with an explicit error so the JSON stays comparable
+// across hosts, and every row is tagged with a `backend` counter (the
+// backend ordinal) so BENCH_perf.json rows are filterable without parsing
+// benchmark names.
 
 #include <benchmark/benchmark.h>
 
-#include <optional>
-#include <string>
-
 #include "gpufreq/nn/kernels/dispatch.hpp"
-#include "gpufreq/nn/precision.hpp"
 
 namespace gpufreq::bench {
 
-struct AxisSelection {
-  nn::kernels::Backend backend;
-  nn::Precision precision;
-};
-
-inline std::optional<AxisSelection> select_axes(benchmark::State& state) {
+/// Switch to the backend arg0 names; false (row skipped) when unavailable.
+inline bool select_backend(benchmark::State& state) {
   using nn::kernels::Backend;
   Backend b;
   switch (state.range(0)) {
     case 0: b = Backend::kScalar; break;
     case 1: b = Backend::kAvx2; break;
     case 2: b = Backend::kAvx512; break;
-    default: state.SkipWithError("unknown backend arg"); return std::nullopt;
+    default: state.SkipWithError("unknown backend arg"); return false;
   }
   if (b == Backend::kAvx2 && !nn::kernels::avx2_available()) {
     state.SkipWithError("avx2 backend unavailable on this machine");
-    return std::nullopt;
+    return false;
   }
   if (b == Backend::kAvx512 && !nn::kernels::avx512_available()) {
     state.SkipWithError("avx512 backend unavailable on this machine");
-    return std::nullopt;
+    return false;
   }
-  const nn::Precision prec =
-      state.range(1) == 0 ? nn::Precision::kFp32 : nn::Precision::kInt8;
   nn::kernels::set_kernel_backend(b);
-  state.SetLabel(std::string(nn::kernels::to_string(b)) +
-                 (prec == nn::Precision::kInt8 ? "/int8" : "/fp32"));
+  state.SetLabel(nn::kernels::to_string(b));
   state.counters["backend"] = static_cast<double>(state.range(0));
-  state.counters["precision"] = prec == nn::Precision::kInt8 ? 8.0 : 32.0;
-  return AxisSelection{b, prec};
+  return true;
 }
 
 inline void reset_backend() {

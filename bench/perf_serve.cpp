@@ -5,9 +5,9 @@
 // p50/p99 latency per priority band. tools/run_benchmarks.sh merges this
 // into BENCH_perf.json.
 //
-// Benchmark arguments follow the shared axes in backend_axis.hpp: arg0 is
-// the kernel backend (0 = scalar, 1 = avx2, 2 = avx512), arg1 the
-// precision (0 = fp32, 1 = int8); the next argument is the batch size N;
+// Benchmark arguments follow the shared axis in backend_axis.hpp: arg0 is
+// the kernel backend (0 = scalar, 1 = avx2, 2 = avx512); the next argument
+// is the batch size N;
 // BM_ServiceDrainFleet adds two more — the number of distinct
 // applications the N requests are drawn from ("sweeps_per_s" counts ALL
 // requests served, so the batched/sequential ratio at equal N is the
@@ -16,7 +16,7 @@
 // the first drain every repeat application is served from the cache
 // without touching the GEMM chain, with a "hit_rate" counter reported).
 // BM_ServeOpenLoop's extra axis is the Zipf skew x100 (0 = uniform).
-// Every row carries `backend` and `precision` counters.
+// Every row carries a `backend` counter.
 #include <benchmark/benchmark.h>
 
 #include <cstddef>
@@ -34,15 +34,10 @@ using namespace gpufreq;
 
 namespace {
 
-// Paper models with both inference packs prepared, shared by every row
-// (the int8 rows need the quantized pack; the fp32 rows ignore it).
+// Paper models, shared by every row.
 std::shared_ptr<const core::PowerTimeModels> shared_models_ptr() {
-  static const auto ptr = [] {
-    auto models = std::make_shared<core::PowerTimeModels>(bench::paper_models());
-    models->power.prepare_inference(nn::Precision::kInt8);
-    models->time.prepare_inference(nn::Precision::kInt8);
-    return std::shared_ptr<const core::PowerTimeModels>(std::move(models));
-  }();
+  static const std::shared_ptr<const core::PowerTimeModels> ptr =
+      std::make_shared<core::PowerTimeModels>(bench::paper_models());
   return ptr;
 }
 
@@ -57,11 +52,10 @@ std::vector<serve::CatalogEntry> unique_apps(std::size_t n, const sim::GpuSpec& 
 // Baseline: N independent online sweeps, one predict_sweep per request
 // (what N tenants hitting N per-tenant predictors would cost).
 void BM_SequentialSweeps(benchmark::State& state) {
-  const auto sel = bench::select_axes(state);
-  if (!sel) return;
-  const core::OnlinePredictor predictor(shared_models(), sel->precision);
+  if (!bench::select_backend(state)) return;
+  const core::OnlinePredictor predictor(shared_models());
   const sim::GpuSpec spec = sim::GpuSpec::ga100();
-  const std::size_t n = static_cast<std::size_t>(state.range(2));
+  const std::size_t n = static_cast<std::size_t>(state.range(1));
   const auto apps = unique_apps(n, spec);
   const std::vector<double> freqs = spec.used_frequencies();
 
@@ -79,21 +73,18 @@ void BM_SequentialSweeps(benchmark::State& state) {
   bench::reset_backend();
 }
 BENCHMARK(BM_SequentialSweeps)
-    ->Args({1, 0, 1})->Args({1, 0, 16})->Args({1, 0, 61})->Args({1, 0, 100})
-    ->Args({0, 0, 16})->Args({0, 1, 16})
-    ->Args({1, 1, 100})
-    ->Args({2, 0, 100})->Args({2, 1, 100})
+    ->Args({1, 1})->Args({1, 16})->Args({1, 61})->Args({1, 100})
+    ->Args({0, 16})->Args({2, 100})
     ->Unit(benchmark::kMicrosecond);
 
 // The fused path on the same N unique requests: one predict_sweep_batch,
 // i.e. one GEMM chain per model over N x 61 rows. Measures pure fusion
 // (dispatch/scaler/finite-check amortization) with zero coalescing.
 void BM_BatchedSweepUnique(benchmark::State& state) {
-  const auto sel = bench::select_axes(state);
-  if (!sel) return;
-  const core::OnlinePredictor predictor(shared_models(), sel->precision);
+  if (!bench::select_backend(state)) return;
+  const core::OnlinePredictor predictor(shared_models());
   const sim::GpuSpec spec = sim::GpuSpec::ga100();
-  const std::size_t n = static_cast<std::size_t>(state.range(2));
+  const std::size_t n = static_cast<std::size_t>(state.range(1));
   const auto apps = unique_apps(n, spec);
   const std::vector<double> freqs = spec.used_frequencies();
 
@@ -117,10 +108,8 @@ void BM_BatchedSweepUnique(benchmark::State& state) {
   bench::reset_backend();
 }
 BENCHMARK(BM_BatchedSweepUnique)
-    ->Args({1, 0, 1})->Args({1, 0, 16})->Args({1, 0, 61})->Args({1, 0, 100})
-    ->Args({0, 0, 16})->Args({0, 1, 16})
-    ->Args({1, 1, 100})
-    ->Args({2, 0, 100})->Args({2, 1, 100})
+    ->Args({1, 1})->Args({1, 16})->Args({1, 61})->Args({1, 100})
+    ->Args({0, 16})->Args({2, 100})
     ->Unit(benchmark::kMicrosecond);
 
 // The full service drain cycle under a fleet mix: N requests per batch
@@ -129,16 +118,14 @@ BENCHMARK(BM_BatchedSweepUnique)
 // coalesce). sweeps_per_s counts all N served requests — the multi-tenant
 // aggregate a deployment sees.
 void BM_ServiceDrainFleet(benchmark::State& state) {
-  const auto sel = bench::select_axes(state);
-  if (!sel) return;
+  if (!bench::select_backend(state)) return;
   const sim::GpuSpec spec = sim::GpuSpec::ga100();
   serve::ModelSnapshotHolder holder(shared_models_ptr());
-  const std::size_t n = static_cast<std::size_t>(state.range(2));
-  const std::size_t napps = static_cast<std::size_t>(state.range(3));
-  const bool cache_on = state.range(4) != 0;
+  const std::size_t n = static_cast<std::size_t>(state.range(1));
+  const std::size_t napps = static_cast<std::size_t>(state.range(2));
+  const bool cache_on = state.range(3) != 0;
   serve::ServiceConfig config;
   config.max_batch = n;
-  config.precision = sel->precision;
   if (!cache_on) config.cache.sets = 0;  // PR 7 behavior: recompute every drain
   serve::SweepService service(holder, spec, config);
   const auto catalog = serve::make_catalog(napps, spec, /*seed=*/0xF1EE7);
@@ -177,39 +164,34 @@ void BM_ServiceDrainFleet(benchmark::State& state) {
   bench::reset_backend();
 }
 BENCHMARK(BM_ServiceDrainFleet)
-    ->Args({1, 0, 16, 4, 0})->Args({1, 0, 61, 27, 0})->Args({1, 0, 100, 27, 0})
-    ->Args({1, 0, 100, 100, 0})  // worst case: every request unique, no coalescing
-    ->Args({0, 0, 16, 4, 0})->Args({0, 1, 16, 4, 0})
-    ->Args({1, 1, 100, 27, 0})->Args({1, 1, 100, 100, 0})
-    ->Args({2, 0, 100, 100, 0})->Args({2, 1, 100, 100, 0})
+    ->Args({1, 16, 4, 0})->Args({1, 61, 27, 0})->Args({1, 100, 27, 0})
+    ->Args({1, 100, 100, 0})  // worst case: every request unique, no coalescing
+    ->Args({0, 16, 4, 0})->Args({2, 100, 100, 0})
     // Exact-key cache rows: the same fleet mixes with memoization on. The
-    // {*, *, 100, 27, 1} rows are the acceptance pair for the >= 5x
+    // {*, 100, 27, 1} rows are the acceptance pair for the >= 5x
     // cached-vs-uncached sweeps/s claim (repeat rate 1.0 across drains;
     // any repeat rate >= 0.8 interpolates between the two).
-    ->Args({1, 0, 16, 4, 1})->Args({1, 0, 61, 27, 1})->Args({1, 0, 100, 27, 1})
-    ->Args({1, 0, 100, 100, 1})
-    ->Args({0, 0, 16, 4, 1})->Args({1, 1, 100, 27, 1})
-    ->Args({2, 0, 100, 100, 1})
+    ->Args({1, 16, 4, 1})->Args({1, 61, 27, 1})->Args({1, 100, 27, 1})
+    ->Args({1, 100, 100, 1})
+    ->Args({0, 16, 4, 1})->Args({2, 100, 100, 1})
     ->Unit(benchmark::kMicrosecond);
 
 // Open-loop load against the background worker: requests/sec plus p50/p99
 // total latency per priority band (system / interactive / batch), the
 // service-level numbers BENCH_perf.json tracks.
 void BM_ServeOpenLoop(benchmark::State& state) {
-  const auto sel = bench::select_axes(state);
-  if (!sel) return;
+  if (!bench::select_backend(state)) return;
   const sim::GpuSpec spec = sim::GpuSpec::ga100();
   serve::ModelSnapshotHolder holder(shared_models_ptr());
   serve::ServiceConfig config;
-  config.precision = sel->precision;
   serve::SweepService service(holder, spec, config);
   service.start();
 
   serve::LoadSpec load;
-  load.rate_hz = static_cast<double>(state.range(2));
+  load.rate_hz = static_cast<double>(state.range(1));
   load.duration_s = 0.25;
   load.catalog_size = 27;
-  load.zipf_s = static_cast<double>(state.range(3)) / 100.0;
+  load.zipf_s = static_cast<double>(state.range(2)) / 100.0;
 
   serve::LoadReport report;
   for (auto _ : state) {
@@ -234,11 +216,10 @@ void BM_ServeOpenLoop(benchmark::State& state) {
   bench::reset_backend();
 }
 BENCHMARK(BM_ServeOpenLoop)
-    ->Args({1, 0, 2000, 0})->Args({1, 0, 8000, 0})->Args({1, 1, 8000, 0})
-    ->Args({2, 1, 8000, 0})
+    ->Args({1, 2000, 0})->Args({1, 8000, 0})
     // Zipf(1.1)-skewed arrivals: the repeat-heavy fleet regime the curve
     // cache targets — hit_rate and the p99.9 tails are the story here.
-    ->Args({1, 0, 8000, 110})->Args({1, 1, 8000, 110})
+    ->Args({1, 8000, 110})
     ->Iterations(1)
     ->Unit(benchmark::kMillisecond);
 

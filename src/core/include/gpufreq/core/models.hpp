@@ -53,28 +53,18 @@ class DnnModel {
   Target target() const { return target_; }
 
   /// Predict the (normalized) target for a feature matrix: TDP fraction for
-  /// power models, slowdown for time models. `precision` selects the
-  /// network's inference path; kInt8 requires prepare_inference(kInt8)
-  /// first (layers without an int8 pack fall back to fp32).
-  std::vector<double> predict(const nn::Matrix& x,
-                              nn::Precision precision = nn::Precision::kFp32) const;
+  /// power models, slowdown for time models. train() and restore() pack
+  /// the network for the fused inference kernel.
+  std::vector<double> predict(const nn::Matrix& x) const;
 
   /// predict() into caller-owned scratch and output (out.size() must equal
-  /// x.rows()). Bitwise-identical results to predict() at the same
-  /// precision, without its per-call allocations.
-  void predict_into(const nn::Matrix& x, Workspace& ws, std::span<double> out,
-                    nn::Precision precision = nn::Precision::kFp32) const;
+  /// x.rows()). Bitwise-identical results to predict(), without its
+  /// per-call allocations.
+  void predict_into(const nn::Matrix& x, Workspace& ws, std::span<double> out) const;
 
   /// Pre-grow `ws` for predict_into batches of up to `max_rows` rows, so
   /// even the first prediction through the workspace allocates nothing.
-  void reserve_workspace(Workspace& ws, std::size_t max_rows,
-                         nn::Precision precision = nn::Precision::kFp32) const;
-
-  /// (Re)pack the network for fused inference at `precision`. train() and
-  /// restore() already prepare at nn::default_precision(); call this to
-  /// add the int8 packs to an fp32-prepared model (or vice versa — packs
-  /// for both precisions coexist).
-  void prepare_inference(nn::Precision precision);
+  void reserve_workspace(Workspace& ws, std::size_t max_rows) const;
 
   /// Predict for a single feature row.
   double predict_one(std::span<const float> x) const;

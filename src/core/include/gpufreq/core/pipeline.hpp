@@ -112,16 +112,8 @@ struct BatchSweepWorkspace {
 /// features with the clock feature swapped.
 class OnlinePredictor {
  public:
-  /// `precision` selects the network inference path for every sweep this
-  /// predictor runs (default: the session default, GPUFREQ_PRECISION).
-  /// kInt8 needs the models packed at kInt8 (DnnModel::prepare_inference);
-  /// models without int8 packs silently run the fp32 kernels instead —
-  /// the predictor borrows the models const and never repacks them.
-  explicit OnlinePredictor(const PowerTimeModels& models,
-                           nn::Precision precision = nn::default_precision());
-
-  /// The inference precision this predictor was constructed with.
-  nn::Precision precision() const { return precision_; }
+  /// The predictor borrows the models const and never repacks them.
+  explicit OnlinePredictor(const PowerTimeModels& models);
 
   /// Predicted DVFS profile for the workload on the given device. `runs`
   /// controls the max-frequency feature acquisition (paper: one execution).
@@ -166,7 +158,6 @@ class OnlinePredictor {
 
  private:
   const PowerTimeModels& models_;
-  nn::Precision precision_;
   /// Metric names resolved once at construction so the sweep extraction
   /// loops run string-free (hot-path purity contract, DESIGN.md §8).
   FeaturePlan feature_plan_;

@@ -40,7 +40,7 @@ struct SweepCacheStats {
 
 /// Fixed-capacity, set-associative memo of full P(f)/T(f)/E(f) sweep
 /// curves, keyed on the exact bits of (counter vector, t_max, frequency
-/// grid, model epoch, backend, precision). A hit returns the cached curve
+/// grid, model epoch, kernel backend). A hit returns the cached curve
 /// without touching the GEMM chain; because the serving pipeline is
 /// deterministic, an exact-key hit is bitwise-identical to recomputing.
 ///
@@ -53,7 +53,7 @@ struct SweepCacheStats {
 /// the sweep service dedupes each drain batch with it, so in-batch
 /// coalescing and the cross-drain cache share one key.
 ///
-/// Epoch / backend / precision are folded into the key (two opaque context
+/// Epoch and backend are folded into the key (two opaque context
 /// words supplied by the caller), so a model hot-swap invalidates the
 /// whole cache wholesale simply by never matching stale entries again;
 /// stale curves age out via LRU replacement without any flush walk.
@@ -65,7 +65,7 @@ struct SweepCacheStats {
 /// sweep service uses it under its drain mutex).
 class SweepCurveCache {
  public:
-  /// Number of key words: 12 counters + t_max + epoch + backend/precision.
+  /// Number of key words: 12 counters + t_max + epoch + backend.
   static constexpr std::size_t kKeyWords = 15;
 
   /// A request's identity, derived once by make_probe() and carried from

@@ -48,29 +48,28 @@ nn::TrainHistory DnnModel::train(const Dataset& dataset, Target target,
   const nn::Trainer trainer(tc);
   const nn::TrainHistory history = trainer.fit(bundle_.network, x, y);
   // Weights are final: pack them for the fused inference kernel while the
-  // model is still exclusively owned by this thread. Packing at the
-  // session default precision means an int8 deployment gets its quantized
-  // packs built here, once, rather than lazily on a serving thread.
-  bundle_.network.prepare_inference(nn::default_precision());
+  // model is still exclusively owned by this thread, rather than lazily
+  // on a serving thread.
+  bundle_.network.prepare_inference();
   trained_ = true;
   return history;
 }
 
-std::vector<double> DnnModel::predict(const nn::Matrix& x, nn::Precision precision) const {
+std::vector<double> DnnModel::predict(const nn::Matrix& x) const {
   static thread_local Workspace ws;
   std::vector<double> out(x.rows());
-  predict_into(x, ws, out, precision);
+  predict_into(x, ws, out);
   return out;
 }
 
-void DnnModel::predict_into(const nn::Matrix& x, Workspace& ws, std::span<double> out,
-                            nn::Precision precision) const {
+void DnnModel::predict_into(const nn::Matrix& x, Workspace& ws,
+                            std::span<double> out) const {
   GPUFREQ_REQUIRE(trained_, "DnnModel::predict: model not trained");
   const nn::StandardScaler& ts = bundle_.target_scaler;
   GPUFREQ_REQUIRE(ts.fitted() && ts.dim() == 1,
                   "DnnModel::predict: target scaler not fitted for one output");
   bundle_.input_scaler.transform_into(x, ws.scaled);
-  bundle_.network.predict_vector_into(ws.scaled, ws.net, out, precision);
+  bundle_.network.predict_vector_into(ws.scaled, ws.net, out);
   // Inverse target transform, elementwise through the same float rounding
   // as StandardScaler::inverse_transform so results match predict() bit
   // for bit.
@@ -79,16 +78,10 @@ void DnnModel::predict_into(const nn::Matrix& x, Workspace& ws, std::span<double
   for (double& v : out) v = static_cast<double>(static_cast<float>(v * stddev + mean));
 }
 
-void DnnModel::reserve_workspace(Workspace& ws, std::size_t max_rows,
-                                 nn::Precision precision) const {
+void DnnModel::reserve_workspace(Workspace& ws, std::size_t max_rows) const {
   GPUFREQ_REQUIRE(trained_, "DnnModel::reserve_workspace: model not trained");
   ws.scaled.reserve(max_rows, bundle_.network.input_dim());
-  bundle_.network.reserve_workspace(ws.net, max_rows, precision);
-}
-
-void DnnModel::prepare_inference(nn::Precision precision) {
-  GPUFREQ_REQUIRE(trained_, "DnnModel::prepare_inference: model not trained");
-  bundle_.network.prepare_inference(precision);
+  bundle_.network.reserve_workspace(ws.net, max_rows);
 }
 
 double DnnModel::predict_one(std::span<const float> x) const {
@@ -99,7 +92,7 @@ double DnnModel::predict_one(std::span<const float> x) const {
 
 void DnnModel::restore(nn::ModelBundle bundle, Target target) {
   bundle_ = std::move(bundle);
-  bundle_.network.prepare_inference(nn::default_precision());
+  bundle_.network.prepare_inference();
   target_ = target;
   trained_ = true;
 }

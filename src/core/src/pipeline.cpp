@@ -38,8 +38,8 @@ PowerTimeModels OfflineTrainer::train(
   return train_on(collect_dataset(device, suite));
 }
 
-OnlinePredictor::OnlinePredictor(const PowerTimeModels& models, nn::Precision precision)
-    : models_(models), precision_(precision), feature_plan_(models.features) {
+OnlinePredictor::OnlinePredictor(const PowerTimeModels& models)
+    : models_(models), feature_plan_(models.features) {
   GPUFREQ_REQUIRE(models_.power.trained() && models_.time.trained(),
                   "OnlinePredictor: models must be trained");
 }
@@ -151,8 +151,8 @@ void OnlinePredictor::predict_sweep(const sim::CounterSet& max_freq_counters,
   detail::workspace_resize(ws.power_w, n);
   detail::workspace_resize(ws.time_s, n);
   detail::workspace_resize(ws.energy_j, n);
-  models_.power.predict_into(ws.features, ws.power_model, ws.power_w, precision_);
-  models_.time.predict_into(ws.features, ws.time_model, ws.time_s, precision_);
+  models_.power.predict_into(ws.features, ws.power_model, ws.power_w);
+  models_.time.predict_into(ws.features, ws.time_model, ws.time_s);
   // A NaN here means poisoned weights or features; fail before it turns
   // into a silently wrong "optimal" frequency downstream.
   GPUFREQ_CHECK_FINITE(ws.power_w);
@@ -221,8 +221,8 @@ void OnlinePredictor::predict_sweep_batch(std::span<const BatchSweepItem> items,
   detail::workspace_resize(ws.time_s, total);
   detail::workspace_resize(ws.energy_j, total);
   // The fused N-item GEMM chain: one predict per model over all rows.
-  models_.power.predict_into(ws.features, ws.power_model, ws.power_w, precision_);
-  models_.time.predict_into(ws.features, ws.time_model, ws.time_s, precision_);
+  models_.power.predict_into(ws.features, ws.power_model, ws.power_w);
+  models_.time.predict_into(ws.features, ws.time_model, ws.time_s);
   GPUFREQ_CHECK_FINITE(ws.power_w);
   GPUFREQ_CHECK_FINITE(ws.time_s);
 
@@ -246,8 +246,8 @@ void OnlinePredictor::reserve_batch_workspace(BatchSweepWorkspace& ws, std::size
   ws.time_s.reserve(max_rows);
   ws.energy_j.reserve(max_rows);
   ws.features.reserve(max_rows, models_.features.dim());
-  models_.power.reserve_workspace(ws.power_model, max_rows, precision_);
-  models_.time.reserve_workspace(ws.time_model, max_rows, precision_);
+  models_.power.reserve_workspace(ws.power_model, max_rows);
+  models_.time.reserve_workspace(ws.time_model, max_rows);
 }
 
 }  // namespace gpufreq::core

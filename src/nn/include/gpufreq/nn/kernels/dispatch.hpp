@@ -1,6 +1,5 @@
 #pragma once
 
-#include <atomic>
 #include <string>
 
 namespace gpufreq::nn::kernels {
@@ -59,63 +58,5 @@ Backend active_backend();
 /// CPU/binary. Like set_num_threads, not safe to call concurrently with
 /// in-flight nn compute.
 void set_kernel_backend(Backend b);
-
-/// Which int8 multiply-add flavor the AVX2 dense_bias_act_i8 entry runs.
-///
-/// kMadd (the default) is the exact path: int16 activation carriers
-/// (±16383) against sign-extended int8 weights through vpmaddwd — every
-/// intermediate fits int32, so the accumulation is exact integer math.
-///
-/// kMaddubs is a DISTINCT, gated variant (ROADMAP item 4 residual): it
-/// requantizes each activation carrier in-kernel to an unsigned 7-bit
-/// code u = (q + 16384) >> 8 and runs u8 x s8 pairs through vpmaddubsw.
-/// The pairwise sums are bounded by 2*127*127 = 32258 < 32767, so the
-/// saturating instruction never actually saturates and the integer math
-/// is exact over the CODES — but the codes themselves carry ~7 bits of
-/// activation precision instead of 14, so kMaddubs output is NOT bitwise
-/// equal to kMadd (bitwise parity is infeasible: splitting a ±16383
-/// carrier into unsigned bytes overflows vpmaddubsw's int16 pair sums,
-/// 2*255*127 = 64770 > 32767). It exists to measure the throughput/
-/// accuracy trade of the classic u8-activation kernel shape under the
-/// EDP-equivalence methodology (tools/check_quantization --maddubs).
-/// Backends other than AVX2 ignore the knob.
-enum class Int8Variant {
-  kMadd,     ///< vpmaddwd on int16 carriers (exact; default)
-  kMaddubs,  ///< vpmaddubsw on u7 requantized codes (approximate, gated)
-};
-
-const char* to_string(Int8Variant v);
-
-/// Parse "madd" | "maddubs" (the accepted GPUFREQ_INT8_VARIANT values);
-/// throws InvalidArgument for anything else.
-Int8Variant int8_variant_from_string(const std::string& name);
-
-/// The variant the AVX2 int8 kernel currently computes with. First use
-/// resolves GPUFREQ_INT8_VARIANT (default kMadd).
-Int8Variant active_int8_variant();
-
-/// Force the int8 variant. Like set_kernel_backend, not safe to call
-/// concurrently with in-flight nn compute.
-void set_int8_variant(Int8Variant v);
-
-namespace detail {
-
-/// Raw knob cell read by the AVX2 kernel each call: -1 until the first
-/// read resolves the GPUFREQ_INT8_VARIANT default (or set_int8_variant
-/// stores a choice). An extern atomic, not a magic static, so the hot
-/// kernel's steady state is a single acquire load with no guard check.
-extern std::atomic<int> g_int8_variant;
-
-/// Cold first-read resolution of GPUFREQ_INT8_VARIANT (out-of-line; a
-/// vetted hot-path boundary like the kernel-table default selection).
-int resolve_int8_variant();
-
-/// Steady state: one acquire load.
-inline int int8_variant_raw() {
-  const int v = g_int8_variant.load(std::memory_order_acquire);
-  return v >= 0 ? v : resolve_int8_variant();
-}
-
-}  // namespace detail
 
 }  // namespace gpufreq::nn::kernels

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 
 #include "gpufreq/nn/activations.hpp"
 #include "gpufreq/nn/kernels/packing.hpp"
@@ -73,36 +72,6 @@ struct KernelTable {
   void (*dense_bias_act)(const float* x, const PackedWeights& w, const float* bias,
                          Activation act, float* y, std::size_t lo, std::size_t hi);
 
-  /// Quantize rows [lo, hi) of x (rows x k fp32, row stride k) for the
-  /// int8 path: symmetric per-row scale (amax/16383, 0 for an all-zero
-  /// row), values rounded to nearest-even and clamped to [-16383, 16383].
-  /// Quantized values are stored as int16 CARRIERS (row stride qstride =
-  /// k rounded up to even, tail zeroed) so the pmaddwd-style GEMM can
-  /// broadcast activation k-pairs without widening. Activations get the
-  /// full int16 range (weights stay int8) because the carriers are 16-bit
-  /// either way — the extra activation precision is free and is what
-  /// keeps the EDP-argmin agreement with fp32 tight. Every madd pair
-  /// |a0*w0 + a1*w1| <= 2*16383*127, so the int32 accumulator is exact
-  /// for k up to ~1000 (enforced at pack time). Inputs must be finite
-  /// (the quantized grid cannot carry NaN/inf; the fp32 path owns the
-  /// NaN semantics).
-  void (*quantize_rows_i8)(const float* x, std::size_t k, std::int16_t* q,
-                           std::size_t qstride, float* scales, std::size_t lo,
-                           std::size_t hi);
-
-  /// Fused int8 inference layer, rows [lo, hi):
-  ///   Y[i,j] = act(float(Q[i] . Wq[:,j]) * (row_scale[i] * col_scale[j]) + bias[j])
-  /// Accumulation is exact int32 (|a| <= 16383, |w| <= 127, k <= ~1000
-  /// enforced at pack time), so the dot
-  /// product is order-free and identical across backends for a given pack;
-  /// only the fp32 dequant epilogue carries the usual per-backend
-  /// instruction-selection tolerance. Within one backend results are
-  /// bitwise deterministic and row-local (batch == N independent rows).
-  /// Q: rows x w.kpad() int16 (from quantize_rows_i8),
-  /// Y: rows x w.cols() fp32.
-  void (*dense_bias_act_i8)(const std::int16_t* q, const float* row_scales,
-                            const QuantizedPackedWeights& w, const float* bias,
-                            Activation act, float* y, std::size_t lo, std::size_t hi);
 };
 
 /// Table of the active backend; first use runs dispatch selection.

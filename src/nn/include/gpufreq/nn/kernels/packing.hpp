@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <vector>
 
 #include "gpufreq/nn/matrix.hpp"
@@ -44,60 +43,6 @@ class PackedWeights {
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
   std::vector<float> data_;
-};
-
-/// Int8 sibling of PackedWeights for the opt-in Precision::kInt8 path.
-///
-/// Quantization is symmetric per output column, with the scales stored
-/// panel-major (16 per panel, matching the epilogue tile): scales(p)[j] =
-/// maxabs of column j / 127, w_q = clamp(rne(w / scale), -127, 127), so
-/// dequantization is a single multiply and zero stays exactly zero. The
-/// per-column (not per-tensor or per-panel) scale bounds the error of
-/// layers whose column magnitudes differ — measurably tighter EDP-argmin
-/// agreement with fp32 — and costs the epilogue nothing: the dequant
-/// scale becomes one 16-float vector load per panel instead of a
-/// broadcast.
-///
-/// Layout: panel-major like PackedWeights, but rows are padded to an even
-/// count (kpad) and stored K-PAIR INTERLEAVED: within panel p, the block
-/// for row pair kp holds [w_q(2kp, j), w_q(2kp+1, j)] adjacent for each of
-/// the 16 columns j. One 32-byte row-pair block is exactly what a
-/// pmaddwd-style kernel consumes: broadcast a 2x int16 activation pair,
-/// widen the 32 weight bytes to int16, multiply-add into exact int32 —
-/// the same order-free integer accumulation the scalar reference uses
-/// (only the fp32 dequant epilogue differs per backend, to tolerance).
-/// Padding rows/columns are zero and contribute nothing.
-class QuantizedPackedWeights {
- public:
-  QuantizedPackedWeights() = default;
-
-  bool empty() const { return data_.empty(); }
-  std::size_t rows() const { return rows_; }   ///< input dim (k), unpadded
-  std::size_t kpad() const { return kpad_; }   ///< k rounded up to even
-  std::size_t cols() const { return cols_; }   ///< output dim (n), unpadded
-  std::size_t panel_count() const { return (cols_ + kPanelWidth - 1) / kPanelWidth; }
-
-  /// Panel p as (kpad/2) row-pair blocks of 2*16 int8 (k-pair interleaved).
-  const std::int8_t* panel(std::size_t p) const {
-    return data_.data() + p * kpad_ * kPanelWidth;
-  }
-
-  /// fp32 dequantization scales of panel p: 16 per-column scales (zero for
-  /// pad columns past cols()).
-  const float* scales(std::size_t p) const { return scales_.data() + p * kPanelWidth; }
-
-  /// Quantize + pack `w`; reuses capacity like PackedWeights::pack.
-  void pack(const Matrix& w);
-
-  /// Drop the packed payload (weights changed; pack is stale).
-  void clear();
-
- private:
-  std::size_t rows_ = 0;
-  std::size_t kpad_ = 0;
-  std::size_t cols_ = 0;
-  std::vector<std::int8_t> data_;
-  std::vector<float> scales_;
 };
 
 }  // namespace gpufreq::nn::kernels

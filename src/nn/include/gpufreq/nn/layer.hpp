@@ -1,14 +1,12 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <vector>
 
 #include "gpufreq/nn/activations.hpp"
 #include "gpufreq/nn/kernels/packing.hpp"
 #include "gpufreq/nn/matrix.hpp"
 #include "gpufreq/nn/optimizer.hpp"
-#include "gpufreq/nn/precision.hpp"
 #include "gpufreq/util/rng.hpp"
 
 namespace gpufreq::nn {
@@ -49,30 +47,14 @@ class DenseLayer {
   /// independent, so disjoint row ranges may run concurrently.
   void forward_rows(const float* x, float* y, std::size_t rows) const;
 
-  /// Int8 counterpart of forward_rows: quantize the rows into the caller's
-  /// scratch (`q`: rows x quantized_kpad() int16 carriers, `scales`: one
-  /// per row), then run the fused int8 kernel over the quantized pack.
-  /// Requires inference_prepared(Precision::kInt8); inputs must be finite
-  /// (int8 cannot carry NaN — the fp32 path owns NaN semantics).
-  void forward_rows_i8(const float* x, std::int16_t* q, float* scales, float* y,
-                       std::size_t rows) const;
+  /// Pack the weights for the fused inference kernel. Call after the
+  /// weights settle (end of training / deserialization / any external
+  /// mutation through weights()); gradient updates and re-initialization
+  /// invalidate the pack automatically.
+  void prepare_inference();
 
-  /// Pack the weights for the fused inference kernel. kInt8 builds the
-  /// quantized sibling pack IN ADDITION to the fp32 pack (fp32 stays
-  /// available as the fallback/reference). Call after the weights settle
-  /// (end of training / deserialization / any external mutation through
-  /// weights()); gradient updates and re-initialization invalidate both
-  /// packs automatically.
-  void prepare_inference(Precision precision = Precision::kFp32);
-
-  /// True when the packed weights for `precision` are current.
-  bool inference_prepared(Precision precision = Precision::kFp32) const {
-    return precision == Precision::kInt8 ? !packed_.empty() && !qpacked_.empty()
-                                         : !packed_.empty();
-  }
-
-  /// Quantized-pack row stride (k rounded up to even); 0 when not packed.
-  std::size_t quantized_kpad() const { return qpacked_.empty() ? 0 : qpacked_.kpad(); }
+  /// True when the packed weights are current.
+  bool inference_prepared() const { return !packed_.empty(); }
 
   /// Backward on the calling thread: `delta` is dL/dY (batch x out).
   /// Computes parameter gradients (averaged over the batch) and, unless
@@ -87,8 +69,7 @@ class DenseLayer {
   Matrix w_;               // in x out
   std::vector<float> b_;   // out
   Activation act_;
-  kernels::PackedWeights packed_;            // panel-packed w_, empty when stale
-  kernels::QuantizedPackedWeights qpacked_;  // int8 sibling, empty unless prepared
+  kernels::PackedWeights packed_;  // panel-packed w_, empty when stale
 
   Matrix grad_w_;
   std::vector<float> grad_b_;

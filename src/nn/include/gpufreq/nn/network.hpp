@@ -21,20 +21,17 @@ struct LayerSpec {
 /// activations between two tiles inside its own disjoint region of
 /// `tiles_` (2 x 48 x widest-hidden floats, small enough to stay in L1),
 /// and the last layer writes straight into `out_`, the matrix predict_into
-/// returns. The int8 path keeps its per-chunk quantized carriers and
-/// per-row scales here too. Capacity only grows, so steady-state inference
-/// performs no heap allocation. One workspace serves any number of
-/// networks; share one per thread, not across threads.
+/// returns. Capacity only grows, so steady-state inference performs no
+/// heap allocation. One workspace serves any number of networks; share one
+/// per thread, not across threads.
 class InferenceWorkspace {
  public:
   InferenceWorkspace() = default;
 
  private:
   friend class Network;
-  Matrix out_;                   // result: rows x output_dim
-  Matrix tiles_;                 // chunk-disjoint hidden-activation regions
-  std::vector<std::int16_t> q_;  // int8 path: quantized rows (int16 carriers)
-  std::vector<float> qscales_;   // int8 path: per-row dequant scales
+  Matrix out_;    // result: rows x output_dim
+  Matrix tiles_;  // chunk-disjoint hidden-activation regions
 };
 
 /// Standard feedforward neural network (the paper's FNN, §4.3): a stack of
@@ -61,46 +58,39 @@ class Network {
   /// (const) but not re-entrant with train_step on the same object.
   /// Convenience wrapper over predict_into (per-thread workspace); the
   /// returned matrix is the only allocation it makes in steady state.
-  /// Rejects empty batches (x.rows() == 0). `precision` selects the fused
-  /// kernel per layer; layers not prepared for kInt8 fall back to fp32.
-  Matrix predict(const Matrix& x, Precision precision = Precision::kFp32) const;
+  /// Rejects empty batches (x.rows() == 0).
+  Matrix predict(const Matrix& x) const;
 
   /// Inference into a caller-owned workspace; the returned reference
   /// points into the workspace and stays valid until the workspace is
   /// reused. This is the chunk-major fused forward — allocation-free once
   /// the workspace has grown to the batch (see reserve_workspace). Layers
-  /// prepared by prepare_inference run over their packed weights, with
-  /// each kInt8-prepared layer running the int8 kernel under
-  /// Precision::kInt8; unprepared layers (e.g. during training) run the
-  /// training forward's kernel over the weights as they are.
-  const Matrix& predict_into(const Matrix& x, InferenceWorkspace& ws,
-                             Precision precision = Precision::kFp32) const;
+  /// prepared by prepare_inference run over their packed weights;
+  /// unprepared layers (e.g. during training) run the training forward's
+  /// kernel over the weights as they are.
+  const Matrix& predict_into(const Matrix& x, InferenceWorkspace& ws) const;
 
   /// Convenience for single-output networks: predict a column vector.
-  std::vector<double> predict_vector(const Matrix& x,
-                                     Precision precision = Precision::kFp32) const;
+  std::vector<double> predict_vector(const Matrix& x) const;
 
   /// Single-output inference into a caller-owned span (out.size() must
   /// equal x.rows()); allocation-free like predict_into.
-  void predict_vector_into(const Matrix& x, InferenceWorkspace& ws, std::span<double> out,
-                           Precision precision = Precision::kFp32) const;
+  void predict_vector_into(const Matrix& x, InferenceWorkspace& ws,
+                           std::span<double> out) const;
 
   /// Pre-grow `ws` for batches of up to `max_rows` rows through this
   /// network, so a later predict_into at or below that batch size performs
-  /// no allocation even on its first call. Capacity only grows; pass
-  /// kInt8 to also pre-size the quantization scratch.
-  void reserve_workspace(InferenceWorkspace& ws, std::size_t max_rows,
-                         Precision precision = Precision::kFp32) const;
+  /// no allocation even on its first call. Capacity only grows.
+  void reserve_workspace(InferenceWorkspace& ws, std::size_t max_rows) const;
 
-  /// Pack every layer's weights for the fused inference kernel (kInt8
-  /// additionally builds the quantized sibling packs). Idempotent;
-  /// training steps and weight re-initialization invalidate the packs (the
-  /// network then runs over the unpacked weights until re-prepared).
-  void prepare_inference(Precision precision = Precision::kFp32);
+  /// Pack every layer's weights for the fused inference kernel.
+  /// Idempotent; training steps and weight re-initialization invalidate
+  /// the packs (the network then runs over the unpacked weights until
+  /// re-prepared).
+  void prepare_inference();
 
-  /// True when every layer's fused-inference pack for `precision` is
-  /// current.
-  bool inference_prepared(Precision precision = Precision::kFp32) const;
+  /// True when every layer's fused-inference pack is current.
+  bool inference_prepared() const;
 
   /// One optimizer step on a mini-batch; returns the batch loss before the
   /// update. `opt` must have been bound with bind_optimizer first.

@@ -1,49 +1,16 @@
 #pragma once
 
-#include <string>
-
 namespace gpufreq::nn {
 
-/// Arithmetic the inference chain computes with. Training is always fp32;
-/// precision only selects which packed-weight sibling prepare_inference
-/// builds and which fused kernel predict uses.
-///
-/// kInt8 is the opt-in reduced-precision path: weights are quantized
-/// symmetrically per 16-wide output panel at pack time, activations are
-/// quantized symmetrically per row at inference time, the GEMM accumulates
-/// in exact int32, and the epilogue dequantizes to fp32 before bias +
-/// activation. It trades a bounded accuracy delta (gated by
-/// tools/check_quantization and tests/test_int8_accuracy) for cheaper
-/// arithmetic and half the weight-streaming bandwidth. fp32 stays the
-/// default everywhere.
-enum class Precision {
-  kFp32,  ///< full-precision packed weights + fp32 GEMM (default)
-  kInt8,  ///< int8 weights/activations, int32 accumulate, fp32 epilogue
-};
+/// The arithmetic the inference chain computes with. The library has one
+/// precision, fp32, and nothing inside it reads this header. It stays only
+/// because perfbench prints to_string(default_precision()) in its run
+/// fingerprint; perfbench changes only together with a fresh baseline, so
+/// this header goes when it next does.
+enum class Precision { kFp32 };
 
-const char* to_string(Precision p);
+inline const char* to_string(Precision) { return "fp32"; }
 
-/// Parse "fp32" | "int8" (the accepted GPUFREQ_PRECISION values); throws
-/// InvalidArgument for anything else. The parser, to_string, and the
-/// error message's accepted set all derive from one registry table, so
-/// none of them can drift when a precision is added.
-Precision precision_from_string(const std::string& name);
-
-/// The registry-generated accepted set for GPUFREQ_PRECISION — "fp32|int8"
-/// — i.e. the exact string embedded in precision_from_string's
-/// InvalidArgument message. Exposed so tests stay in lockstep with the
-/// registry instead of hand-copying the list.
-const std::string& accepted_precisions();
-
-/// The process-wide default precision: GPUFREQ_PRECISION if set (read once
-/// on first use), else kFp32. Consumed as the default argument by the
-/// model/serve layers so a deployment (or a CI lane) can flip the whole
-/// stack without touching call sites.
-Precision default_precision();
-
-/// Override the process-wide default (wins over the env from then on).
-/// Like set_num_threads, not safe to call concurrently with in-flight
-/// compute.
-void set_default_precision(Precision p);
+inline Precision default_precision() { return Precision::kFp32; }
 
 }  // namespace gpufreq::nn

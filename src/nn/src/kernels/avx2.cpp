@@ -16,10 +16,7 @@
 #include <immintrin.h>
 
 #include <algorithm>
-#include <cmath>
-#include <cstdint>
 
-#include "gpufreq/nn/kernels/dispatch.hpp"
 #include "gpufreq/util/hot_path.hpp"
 #include "scalar_math.hpp"
 #include "transpose_avx.hpp"
@@ -511,191 +508,14 @@ void dense_bias_act_f(const float* x, const PackedWeights& w, const float* bias,
   }
 }
 
-void quantize_rows_i8_f(const float* x, std::size_t k, std::int16_t* q,
-                        std::size_t qstride, float* scales, std::size_t lo,
-                        std::size_t hi) {
-  GPUFREQ_HOT("gpufreq::nn::kernels::(anonymous namespace)::quantize_rows_i8_f");
-  const __m256 abs_mask = _mm256_castsi256_ps(_mm256_set1_epi32(0x7fffffff));
-  for (std::size_t i = lo; i < hi; ++i) {
-    const float* xi = x + i * k;
-    // Vector amax: the max reduction is order-free over finite floats, so
-    // this lands on the scalar reference's amax bitwise.
-    __m256 vmax = _mm256_setzero_ps();
-    std::size_t j = 0;
-    for (; j + 8 <= k; j += 8) {
-      vmax = _mm256_max_ps(vmax, _mm256_and_ps(_mm256_loadu_ps(xi + j), abs_mask));
-    }
-    __m128 m4 = _mm_max_ps(_mm256_castps256_ps128(vmax), _mm256_extractf128_ps(vmax, 1));
-    m4 = _mm_max_ps(m4, _mm_movehl_ps(m4, m4));
-    m4 = _mm_max_ss(m4, _mm_movehdup_ps(m4));
-    float amax = _mm_cvtss_f32(m4);
-    for (; j < k; ++j) amax = std::max(amax, std::fabs(xi[j]));
-    const float inv = amax > 0.0f ? 16383.0f / amax : 0.0f;
-    scales[i] = amax > 0.0f ? amax / 16383.0f : 0.0f;
-    std::int16_t* qi = q + i * qstride;
-    const __m256 vinv = _mm256_set1_ps(inv);
-    j = 0;
-    for (; j + 8 <= k; j += 8) {
-      // cvtps2dq rounds to nearest-even, matching scalar nearbyintf.
-      __m256i vi = _mm256_cvtps_epi32(_mm256_mul_ps(_mm256_loadu_ps(xi + j), vinv));
-      vi = _mm256_max_epi32(vi, _mm256_set1_epi32(-16383));
-      vi = _mm256_min_epi32(vi, _mm256_set1_epi32(16383));
-      const __m128i v16 =
-          _mm_packs_epi32(_mm256_castsi256_si128(vi), _mm256_extracti128_si256(vi, 1));
-      _mm_storeu_si128(reinterpret_cast<__m128i*>(qi + j), v16);
-    }
-    for (; j < k; ++j) {
-      const int v = static_cast<int>(std::nearbyintf(xi[j] * inv));
-      qi[j] = static_cast<std::int16_t>(std::clamp(v, -16383, 16383));
-    }
-    for (; j < qstride; ++j) qi[j] = 0;
-  }
-}
-
-// noinline: each variant stays a standalone symbol so the purity and
-// resource-bound proofs keep analyzing it as its own GPUFREQ_HOT root
-// (inlined into the dispatcher, the annotation string would match no
-// defined symbol); the call is nothing next to the kernel body.
-__attribute__((noinline)) void dense_bias_act_i8_madd_f(
-    const std::int16_t* q, const float* row_scales, const QuantizedPackedWeights& w,
-    const float* bias, Activation act, float* y, std::size_t lo, std::size_t hi) {
-  GPUFREQ_HOT("gpufreq::nn::kernels::(anonymous namespace)::dense_bias_act_i8_madd_f");
-  const std::size_t kpad = w.kpad();
-  const std::size_t n = w.cols();
-  for (std::size_t p = 0; p < w.panel_count(); ++p) {
-    const std::size_t j0 = p * kPanelWidth;
-    const std::size_t jn = std::min(kPanelWidth, n - j0);
-    const std::int8_t* B = w.panel(p);
-    const float* ws = w.scales(p);
-    const __m256 wsl = _mm256_loadu_ps(ws);
-    const __m256 wsh = _mm256_loadu_ps(ws + 8);
-    for (std::size_t i = lo; i < hi; ++i) {
-      const std::int16_t* qi = q + i * kpad;
-      __m256i accl = _mm256_setzero_si256();
-      __m256i acch = _mm256_setzero_si256();
-      for (std::size_t kp = 0; kp < kpad / 2; ++kp) {
-        // Broadcast the (a_{2kp}, a_{2kp+1}) int16 pair to every 32-bit
-        // lane, widen the k-pair-interleaved weight bytes to int16, and
-        // vpmaddwd into exact int32 — every product is int8-range so
-        // nothing can saturate.
-        std::int32_t pair;
-        __builtin_memcpy(&pair, qi + 2 * kp, sizeof(pair));
-        const __m256i av = _mm256_set1_epi32(pair);
-        const std::int8_t* blk = B + kp * 2 * kPanelWidth;
-        const __m256i wl = _mm256_cvtepi8_epi16(
-            _mm_loadu_si128(reinterpret_cast<const __m128i*>(blk)));
-        const __m256i wh = _mm256_cvtepi8_epi16(
-            _mm_loadu_si128(reinterpret_cast<const __m128i*>(blk + 16)));
-        accl = _mm256_add_epi32(accl, _mm256_madd_epi16(av, wl));
-        acch = _mm256_add_epi32(acch, _mm256_madd_epi16(av, wh));
-      }
-      const __m256 rs = _mm256_set1_ps(row_scales[i]);
-      bias_act_store(act, _mm256_mul_ps(_mm256_cvtepi32_ps(accl), _mm256_mul_ps(rs, wsl)),
-                     _mm256_mul_ps(_mm256_cvtepi32_ps(acch), _mm256_mul_ps(rs, wsh)),
-                     bias + j0, y + i * n + j0, jn);
-    }
-  }
-}
-
-// The vpmaddubsw variant (Int8Variant::kMaddubs): each int16 carrier is
-// requantized in-register to an unsigned 7-bit code u = (q + 16384) >> 8
-// in [0, 127], the u8 x s8 pair products run through vpmaddubsw, and the
-// epilogue undoes the code shift with per-panel integer column sums:
-//
-//   q_hat  = 256*u - 16256            (cell midpoint of the >>8 bucket)
-//   dot    = sum q_hat * w = 256 * sum(u*w) - 16256 * colsum(w)
-//
-// Pair sums are bounded by 2*127*127 = 32258 < 32767, so the saturating
-// vpmaddubsw never saturates — the integer math over the CODES is exact
-// and bitwise-reproducible (the parity test pins it against a scalar
-// emulation). The two epilogue products are exact in fp32 (|sum(u*w)| and
-// 127*|colsum| stay below 2^24; the 2^8/2^7 factors only shift the
-// exponent), leaving one correctly-rounded subtract. Accuracy vs kMadd
-// is a documented trade, not a bug: ~7 activation bits instead of 14 —
-// see Int8Variant in dispatch.hpp and tools/check_quantization --maddubs.
-__attribute__((noinline)) void dense_bias_act_i8_maddubs_f(
-    const std::int16_t* q, const float* row_scales, const QuantizedPackedWeights& w,
-    const float* bias, Activation act, float* y, std::size_t lo, std::size_t hi) {
-  GPUFREQ_HOT("gpufreq::nn::kernels::(anonymous namespace)::dense_bias_act_i8_maddubs_f");
-  const std::size_t kpad = w.kpad();
-  const std::size_t n = w.cols();
-  const __m256i ones16 = _mm256_set1_epi16(1);
-  for (std::size_t p = 0; p < w.panel_count(); ++p) {
-    const std::size_t j0 = p * kPanelWidth;
-    const std::size_t jn = std::min(kPanelWidth, n - j0);
-    const std::int8_t* B = w.panel(p);
-    const float* ws = w.scales(p);
-    const __m256 wsl = _mm256_loadu_ps(ws);
-    const __m256 wsh = _mm256_loadu_ps(ws + 8);
-    // Integer column sums of the panel (padding rows are zero), for the
-    // code-shift correction. vpmaddwd against ones pair-sums the widened
-    // interleaved block exactly like the row accumulation below.
-    __m256i csl = _mm256_setzero_si256();
-    __m256i csh = _mm256_setzero_si256();
-    for (std::size_t kp = 0; kp < kpad / 2; ++kp) {
-      const std::int8_t* blk = B + kp * 2 * kPanelWidth;
-      const __m256i wl =
-          _mm256_cvtepi8_epi16(_mm_loadu_si128(reinterpret_cast<const __m128i*>(blk)));
-      const __m256i wh =
-          _mm256_cvtepi8_epi16(_mm_loadu_si128(reinterpret_cast<const __m128i*>(blk + 16)));
-      csl = _mm256_add_epi32(csl, _mm256_madd_epi16(wl, ones16));
-      csh = _mm256_add_epi32(csh, _mm256_madd_epi16(wh, ones16));
-    }
-    const __m256 corl = _mm256_mul_ps(_mm256_cvtepi32_ps(csl), _mm256_set1_ps(16256.0f));
-    const __m256 corh = _mm256_mul_ps(_mm256_cvtepi32_ps(csh), _mm256_set1_ps(16256.0f));
-    for (std::size_t i = lo; i < hi; ++i) {
-      const std::int16_t* qi = q + i * kpad;
-      __m256i accl = _mm256_setzero_si256();
-      __m256i acch = _mm256_setzero_si256();
-      for (std::size_t kp = 0; kp < kpad / 2; ++kp) {
-        // Requantize the carrier pair to u7 codes and broadcast the two
-        // bytes to every pair position; vpmaddubsw then yields
-        // u0*w(2kp,j) + u1*w(2kp+1,j) per int16 lane (never saturates,
-        // see above), widened and summed into exact int32.
-        const unsigned u0 = static_cast<unsigned>(qi[2 * kp] + 16384) >> 8;
-        const unsigned u1 = static_cast<unsigned>(qi[2 * kp + 1] + 16384) >> 8;
-        const __m256i uv =
-            _mm256_set1_epi16(static_cast<short>(static_cast<unsigned short>(u0 | (u1 << 8))));
-        const __m256i blk =
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(B + kp * 2 * kPanelWidth));
-        const __m256i pairs = _mm256_maddubs_epi16(uv, blk);
-        accl = _mm256_add_epi32(accl, _mm256_cvtepi16_epi32(_mm256_castsi256_si128(pairs)));
-        acch = _mm256_add_epi32(acch, _mm256_cvtepi16_epi32(_mm256_extracti128_si256(pairs, 1)));
-      }
-      const __m256 dotl =
-          _mm256_sub_ps(_mm256_mul_ps(_mm256_cvtepi32_ps(accl), _mm256_set1_ps(256.0f)), corl);
-      const __m256 doth =
-          _mm256_sub_ps(_mm256_mul_ps(_mm256_cvtepi32_ps(acch), _mm256_set1_ps(256.0f)), corh);
-      const __m256 rs = _mm256_set1_ps(row_scales[i]);
-      bias_act_store(act, _mm256_mul_ps(dotl, _mm256_mul_ps(rs, wsl)),
-                     _mm256_mul_ps(doth, _mm256_mul_ps(rs, wsh)), bias + j0, y + i * n + j0, jn);
-    }
-  }
-}
-
-// Table entry: one acquire load picks the active variant per call, so
-// tests and benches can flip GPUFREQ_INT8_VARIANT / set_int8_variant
-// without rebuilding the table.
-void dense_bias_act_i8_f(const std::int16_t* q, const float* row_scales,
-                         const QuantizedPackedWeights& w, const float* bias,
-                         Activation act, float* y, std::size_t lo, std::size_t hi) {
-  GPUFREQ_HOT("gpufreq::nn::kernels::(anonymous namespace)::dense_bias_act_i8_f");
-  if (detail::int8_variant_raw() == static_cast<int>(Int8Variant::kMaddubs)) {
-    dense_bias_act_i8_maddubs_f(q, row_scales, w, bias, act, y, lo, hi);
-  } else {
-    dense_bias_act_i8_madd_f(q, row_scales, w, bias, act, y, lo, hi);
-  }
-}
-
 }  // namespace
 
 namespace detail {
 
 const KernelTable* avx2_table() {
   static const KernelTable table = {
-      "avx2",             gemm_row_band_f,  gemm_tn_band_f,       transpose_f,
-      column_sums_f,      activate_f,       dense_forward_band_f, dense_bias_act_f,
-      quantize_rows_i8_f, dense_bias_act_i8_f,
+      "avx2",        gemm_row_band_f, gemm_tn_band_f,       transpose_f,
+      column_sums_f, activate_f,      dense_forward_band_f, dense_bias_act_f,
   };
   return &table;
 }

@@ -18,8 +18,9 @@
 // (_CMP_GT_OQ, false on NaN) route NaN lanes into the propagating branch —
 // ReLU maps NaN to 0 exactly like the scalar reference.
 //
-// AVX512BW is required by the int8 path (vpmovsxbw/vpmaddwd on zmm);
-// everything fp32 needs only AVX512F.
+// The kernels use only AVX512F, but the backend is built and gated on
+// AVX512F+BW (src/nn/CMakeLists.txt, dispatch.cpp); every AVX-512 server
+// CPU since Skylake-SP has both.
 #include "gpufreq/nn/kernels/kernel_table.hpp"
 
 #if defined(__AVX512F__) && defined(__AVX512BW__) && \
@@ -28,8 +29,6 @@
 #include <immintrin.h>
 
 #include <algorithm>
-#include <cmath>
-#include <cstdint>
 
 #include "gpufreq/util/hot_path.hpp"
 #include "scalar_math.hpp"
@@ -491,175 +490,14 @@ void dense_bias_act_f(const float* x, const PackedWeights& w, const float* bias,
   if (p < panels) dense_panels<1>(x, w, bias, act, y, lo, hi, p);
 }
 
-void quantize_rows_i8_f(const float* x, std::size_t k, std::int16_t* q,
-                        std::size_t qstride, float* scales, std::size_t lo,
-                        std::size_t hi) {
-  GPUFREQ_HOT("gpufreq::nn::kernels::(anonymous namespace)::quantize_rows_i8_f");
-  const __mmask16 tail = mask_for(k % 16);
-  for (std::size_t i = lo; i < hi; ++i) {
-    const float* xi = x + i * k;
-    // Masked amax: inactive lanes read as 0.0, which never wins the max of
-    // absolute values; the reduction is order-free so it matches scalar.
-    __m512 vmax = _mm512_setzero_ps();
-    std::size_t j = 0;
-    for (; j + 16 <= k; j += 16) {
-      vmax = _mm512_max_ps(vmax, _mm512_abs_ps(_mm512_loadu_ps(xi + j)));
-    }
-    if (j < k) {
-      vmax = _mm512_max_ps(vmax, _mm512_abs_ps(_mm512_maskz_loadu_ps(tail, xi + j)));
-    }
-    const float amax = _mm512_reduce_max_ps(vmax);
-    const float inv = amax > 0.0f ? 16383.0f / amax : 0.0f;
-    scales[i] = amax > 0.0f ? amax / 16383.0f : 0.0f;
-    std::int16_t* qi = q + i * qstride;
-    const __m512 vinv = _mm512_set1_ps(inv);
-    j = 0;
-    for (; j + 16 <= k; j += 16) {
-      // cvtps2dq rounds to nearest-even, matching scalar nearbyintf.
-      __m512i vi = _mm512_cvtps_epi32(_mm512_mul_ps(_mm512_loadu_ps(xi + j), vinv));
-      vi = _mm512_max_epi32(vi, _mm512_set1_epi32(-16383));
-      vi = _mm512_min_epi32(vi, _mm512_set1_epi32(16383));
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(qi + j), _mm512_cvtepi32_epi16(vi));
-    }
-    if (j < k) {
-      __m512i vi =
-          _mm512_cvtps_epi32(_mm512_mul_ps(_mm512_maskz_loadu_ps(tail, xi + j), vinv));
-      vi = _mm512_max_epi32(vi, _mm512_set1_epi32(-16383));
-      vi = _mm512_min_epi32(vi, _mm512_set1_epi32(16383));
-      _mm512_mask_cvtepi32_storeu_epi16(qi + j, tail, vi);
-      j = k;
-    }
-    for (; j < qstride; ++j) qi[j] = 0;
-  }
-}
-
-void dense_bias_act_i8_f(const std::int16_t* q, const float* row_scales,
-                         const QuantizedPackedWeights& w, const float* bias,
-                         Activation act, float* y, std::size_t lo, std::size_t hi) {
-  GPUFREQ_HOT("gpufreq::nn::kernels::(anonymous namespace)::dense_bias_act_i8_f");
-  const std::size_t kpad = w.kpad();
-  const std::size_t n = w.cols();
-  for (std::size_t p = 0; p < w.panel_count(); ++p) {
-    const std::size_t j0 = p * kPanelWidth;
-    const std::size_t jn = std::min(kPanelWidth, n - j0);
-    const __mmask16 msk = mask_for(jn);
-    const std::int8_t* B = w.panel(p);
-    const __m512 wsv = _mm512_loadu_ps(w.scales(p));
-    const __m512 biasv = _mm512_maskz_loadu_ps(msk, bias + j0);
-    std::size_t i = lo;
-    // 8-row tile: each 32-byte weight k-pair block is widened once and
-    // feeds all 8 rows' vpmaddwd chains. Integer accumulation is exact,
-    // so splitting rows into tiles never changes results.
-    __m512i acc[kMr];
-    for (; i + kMr <= hi; i += kMr) {
-      for (std::size_t r = 0; r < kMr; ++r) acc[r] = _mm512_setzero_si512();
-      for (std::size_t kp = 0; kp < kpad / 2; ++kp) {
-        const std::int8_t* blk = B + kp * 2 * kPanelWidth;
-        const __m512i wv = _mm512_cvtepi8_epi16(
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(blk)));
-        for (std::size_t r = 0; r < kMr; ++r) {
-          std::int32_t pair;
-          __builtin_memcpy(&pair, q + (i + r) * kpad + 2 * kp, sizeof(pair));
-          acc[r] = _mm512_add_epi32(acc[r], _mm512_madd_epi16(_mm512_set1_epi32(pair), wv));
-        }
-      }
-      for (std::size_t r = 0; r < kMr; ++r) {
-        const __m512 s = _mm512_mul_ps(_mm512_set1_ps(row_scales[i + r]), wsv);
-        // Explicit fmadd: leaving mul + bias-add to the compiler lets
-        // -ffp-contract fuse them in one inlining context but not the
-        // other, breaking tile-path == tail-path bitwise equality.
-        act_store(act, _mm512_fmadd_ps(_mm512_cvtepi32_ps(acc[r]), s, biasv),
-                  y + (i + r) * n + j0, nullptr, msk, jn);
-      }
-    }
-    for (; i < hi; ++i) {
-      __m512i a = _mm512_setzero_si512();
-      const std::int16_t* qi = q + i * kpad;
-      for (std::size_t kp = 0; kp < kpad / 2; ++kp) {
-        std::int32_t pair;
-        __builtin_memcpy(&pair, qi + 2 * kp, sizeof(pair));
-        const __m512i wv = _mm512_cvtepi8_epi16(_mm256_loadu_si256(
-            reinterpret_cast<const __m256i*>(B + kp * 2 * kPanelWidth)));
-        a = _mm512_add_epi32(a, _mm512_madd_epi16(_mm512_set1_epi32(pair), wv));
-      }
-      const __m512 s = _mm512_mul_ps(_mm512_set1_ps(row_scales[i]), wsv);
-      act_store(act, _mm512_fmadd_ps(_mm512_cvtepi32_ps(a), s, biasv),
-                y + i * n + j0, nullptr, msk, jn);
-    }
-  }
-}
-
-// AVX512-VNNI variant of the int8 layer: vpdpwssd fuses the madd and the
-// accumulate into one op, computing the EXACT same int32 value as
-// madd_epi16 + add_epi32 (the pair products can't overflow with
-// |a| <= 16383, |w| <= 127, and our k bound keeps the running sum exact),
-// so the two variants are bitwise interchangeable and both live under the
-// one "avx512" backend name — the table just picks the cheaper one when
-// CPUID reports the extension.
-__attribute__((target("avx512f,avx512bw,avx512vnni"))) void dense_bias_act_i8_vnni(
-    const std::int16_t* q, const float* row_scales, const QuantizedPackedWeights& w,
-    const float* bias, Activation act, float* y, std::size_t lo, std::size_t hi) {
-  GPUFREQ_HOT("gpufreq::nn::kernels::(anonymous namespace)::dense_bias_act_i8_vnni");
-  const std::size_t kpad = w.kpad();
-  const std::size_t n = w.cols();
-  for (std::size_t p = 0; p < w.panel_count(); ++p) {
-    const std::size_t j0 = p * kPanelWidth;
-    const std::size_t jn = std::min(kPanelWidth, n - j0);
-    const __mmask16 msk = mask_for(jn);
-    const std::int8_t* B = w.panel(p);
-    const __m512 wsv = _mm512_loadu_ps(w.scales(p));
-    const __m512 biasv = _mm512_maskz_loadu_ps(msk, bias + j0);
-    std::size_t i = lo;
-    __m512i acc[kMr];
-    for (; i + kMr <= hi; i += kMr) {
-      for (std::size_t r = 0; r < kMr; ++r) acc[r] = _mm512_setzero_si512();
-      for (std::size_t kp = 0; kp < kpad / 2; ++kp) {
-        const std::int8_t* blk = B + kp * 2 * kPanelWidth;
-        const __m512i wv = _mm512_cvtepi8_epi16(
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(blk)));
-        for (std::size_t r = 0; r < kMr; ++r) {
-          std::int32_t pair;
-          __builtin_memcpy(&pair, q + (i + r) * kpad + 2 * kp, sizeof(pair));
-          acc[r] = _mm512_dpwssd_epi32(acc[r], _mm512_set1_epi32(pair), wv);
-        }
-      }
-      for (std::size_t r = 0; r < kMr; ++r) {
-        const __m512 s = _mm512_mul_ps(_mm512_set1_ps(row_scales[i + r]), wsv);
-        // Explicit fmadd: leaving mul + bias-add to the compiler lets
-        // -ffp-contract fuse them in one inlining context but not the
-        // other, breaking tile-path == tail-path bitwise equality.
-        act_store(act, _mm512_fmadd_ps(_mm512_cvtepi32_ps(acc[r]), s, biasv),
-                  y + (i + r) * n + j0, nullptr, msk, jn);
-      }
-    }
-    for (; i < hi; ++i) {
-      __m512i a = _mm512_setzero_si512();
-      const std::int16_t* qi = q + i * kpad;
-      for (std::size_t kp = 0; kp < kpad / 2; ++kp) {
-        std::int32_t pair;
-        __builtin_memcpy(&pair, qi + 2 * kp, sizeof(pair));
-        const __m512i wv = _mm512_cvtepi8_epi16(_mm256_loadu_si256(
-            reinterpret_cast<const __m256i*>(B + kp * 2 * kPanelWidth)));
-        a = _mm512_dpwssd_epi32(a, _mm512_set1_epi32(pair), wv);
-      }
-      const __m512 s = _mm512_mul_ps(_mm512_set1_ps(row_scales[i]), wsv);
-      act_store(act, _mm512_fmadd_ps(_mm512_cvtepi32_ps(a), s, biasv),
-                y + i * n + j0, nullptr, msk, jn);
-    }
-  }
-}
-
 }  // namespace
 
 namespace detail {
 
 const KernelTable* avx512_table() {
   static const KernelTable table = {
-      "avx512",           gemm_row_band_f,  gemm_tn_band_f,       transpose_f,
-      column_sums_f,      activate_f,       dense_forward_band_f, dense_bias_act_f,
-      quantize_rows_i8_f,
-      __builtin_cpu_supports("avx512vnni") ? dense_bias_act_i8_vnni
-                                           : dense_bias_act_i8_f,
+      "avx512",      gemm_row_band_f, gemm_tn_band_f,       transpose_f,
+      column_sums_f, activate_f,      dense_forward_band_f, dense_bias_act_f,
   };
   return &table;
 }

@@ -178,46 +178,4 @@ void set_kernel_backend(Backend b) {
   g_active.store(table_for(b), std::memory_order_release);
 }
 
-const char* to_string(Int8Variant v) {
-  return v == Int8Variant::kMaddubs ? "maddubs" : "madd";
-}
-
-Int8Variant int8_variant_from_string(const std::string& name) {
-  if (name == "madd") return Int8Variant::kMadd;
-  if (name == "maddubs") return Int8Variant::kMaddubs;
-  throw InvalidArgument("unknown int8 variant '" + name + "' (expected madd|maddubs)");
-}
-
-Int8Variant active_int8_variant() {
-  return static_cast<Int8Variant>(detail::int8_variant_raw());
-}
-
-void set_int8_variant(Int8Variant v) {
-  detail::g_int8_variant.store(static_cast<int>(v), std::memory_order_release);
-}
-
-namespace detail {
-
-std::atomic<int> g_int8_variant{-1};
-
-// Same shape as select_and_publish_default: the guard-protected getenv
-// parse must stay out of the kernel's fast path, which is one acquire
-// load once this has run.
-#if defined(__GNUC__) || defined(__clang__)
-__attribute__((cold, noinline))
-#endif
-int resolve_int8_variant() {
-  static const int selected = [] {
-    int v = static_cast<int>(Int8Variant::kMadd);
-    if (const char* env = std::getenv("GPUFREQ_INT8_VARIANT")) {
-      v = static_cast<int>(int8_variant_from_string(env));
-    }
-    g_int8_variant.store(v, std::memory_order_release);
-    return v;
-  }();
-  return selected;
-}
-
-}  // namespace detail
-
 }  // namespace gpufreq::nn::kernels

@@ -1,7 +1,6 @@
 #include "gpufreq/nn/kernels/packing.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "gpufreq/util/error.hpp"
 
@@ -30,67 +29,6 @@ void PackedWeights::clear() {
   rows_ = 0;
   cols_ = 0;
   data_.clear();
-}
-
-void QuantizedPackedWeights::pack(const Matrix& w) {
-  GPUFREQ_REQUIRE(w.rows() > 0 && w.cols() > 0,
-                  "QuantizedPackedWeights::pack: empty weight matrix");
-  // Exactness bound of the int32 accumulator: kpad/2 madd pairs, each at
-  // most 2*16383*127, must not overflow int32 -> k <= 1024 (kpad <= 1032
-  // is the true limit; 1024 keeps the margin a power of two).
-  GPUFREQ_REQUIRE(w.rows() <= 1024,
-                  "QuantizedPackedWeights::pack: k > 1024 would overflow the "
-                  "exact int32 accumulator; use the fp32 path");
-  rows_ = w.rows();
-  kpad_ = rows_ + (rows_ & 1);
-  cols_ = w.cols();
-  const std::size_t panels = panel_count();
-  data_.resize(panels * kpad_ * kPanelWidth);
-  scales_.resize(panels * kPanelWidth);
-  const float* W = w.flat().data();
-  for (std::size_t p = 0; p < panels; ++p) {
-    const std::size_t j0 = p * kPanelWidth;
-    const std::size_t jn = std::min(kPanelWidth, cols_ - j0);
-    // Per-column maxabs -> per-column scale, stored panel-major. An
-    // all-zero (or pad) column quantizes to zeros with scale 0 (dequant
-    // yields the exact 0 the fp32 path would produce).
-    float inv[kPanelWidth] = {};
-    float* ps = scales_.data() + p * kPanelWidth;
-    for (std::size_t j = 0; j < kPanelWidth; ++j) {
-      float amax = 0.0f;
-      if (j < jn) {
-        for (std::size_t r = 0; r < rows_; ++r) {
-          amax = std::max(amax, std::fabs(W[r * cols_ + j0 + j]));
-        }
-      }
-      inv[j] = amax > 0.0f ? 127.0f / amax : 0.0f;
-      ps[j] = amax > 0.0f ? amax / 127.0f : 0.0f;
-    }
-    std::int8_t* dst = data_.data() + p * kpad_ * kPanelWidth;
-    for (std::size_t kp = 0; kp < kpad_ / 2; ++kp) {
-      std::int8_t* blk = dst + kp * 2 * kPanelWidth;
-      for (std::size_t r = 0; r < 2; ++r) {
-        const std::size_t row = 2 * kp + r;
-        for (std::size_t j = 0; j < kPanelWidth; ++j) {
-          std::int8_t v = 0;
-          if (row < rows_ && j < jn) {
-            const float t = W[row * cols_ + j0 + j] * inv[j];
-            v = static_cast<std::int8_t>(
-                std::clamp(static_cast<int>(std::nearbyintf(t)), -127, 127));
-          }
-          blk[j * 2 + r] = v;
-        }
-      }
-    }
-  }
-}
-
-void QuantizedPackedWeights::clear() {
-  rows_ = 0;
-  kpad_ = 0;
-  cols_ = 0;
-  data_.clear();
-  scales_.clear();
 }
 
 }  // namespace gpufreq::nn::kernels

@@ -10,8 +10,6 @@
 // tail, the register tile and the row tail all round alike, and a row's
 // bits do not depend on where it sits in a band or on -march.
 #include <algorithm>
-#include <cmath>
-#include <cstdint>
 
 #include "gpufreq/nn/kernels/kernel_table.hpp"
 #include "gpufreq/util/hot_path.hpp"
@@ -244,74 +242,14 @@ void dense_bias_act_f(const float* x, const PackedWeights& w, const float* bias,
   activate_f(act, y + lo * n, y + lo * n, nullptr, (hi - lo) * n);
 }
 
-void quantize_rows_i8_f(const float* x, std::size_t k, std::int16_t* q,
-                        std::size_t qstride, float* scales, std::size_t lo,
-                        std::size_t hi) {
-  GPUFREQ_HOT("gpufreq::nn::kernels::(anonymous namespace)::quantize_rows_i8_f");
-  for (std::size_t i = lo; i < hi; ++i) {
-    const float* xi = x + i * k;
-    // max is commutative/associative over finite floats, so the reduction
-    // order is free and SIMD backends land on the same amax bitwise.
-    float amax = 0.0f;
-    for (std::size_t j = 0; j < k; ++j) amax = std::max(amax, std::fabs(xi[j]));
-    const float inv = amax > 0.0f ? 16383.0f / amax : 0.0f;
-    scales[i] = amax > 0.0f ? amax / 16383.0f : 0.0f;
-    std::int16_t* qi = q + i * qstride;
-    for (std::size_t j = 0; j < k; ++j) {
-      // nearbyintf in the default rounding mode is round-to-nearest-even,
-      // the same convention as the SIMD cvtps2dq.
-      const int v = static_cast<int>(std::nearbyintf(xi[j] * inv));
-      qi[j] = static_cast<std::int16_t>(std::clamp(v, -16383, 16383));
-    }
-    for (std::size_t j = k; j < qstride; ++j) qi[j] = 0;
-  }
-}
-
-void dense_bias_act_i8_f(const std::int16_t* q, const float* row_scales,
-                         const QuantizedPackedWeights& w, const float* bias,
-                         Activation act, float* y, std::size_t lo, std::size_t hi) {
-  GPUFREQ_HOT("gpufreq::nn::kernels::(anonymous namespace)::dense_bias_act_i8_f");
-  const std::size_t kpad = w.kpad();
-  const std::size_t n = w.cols();
-  for (std::size_t p = 0; p < w.panel_count(); ++p) {
-    const std::size_t j0 = p * kPanelWidth;
-    const std::size_t jn = std::min(kPanelWidth, n - j0);
-    const std::int8_t* B = w.panel(p);
-    const float* ws = w.scales(p);
-    for (std::size_t i = lo; i < hi; ++i) {
-      const std::int16_t* qi = q + i * kpad;
-      // Exact int32 accumulation over k-pair blocks: |a*w| <= 16383*127
-      // per term and pack() bounds k, so nothing overflows and the sum is
-      // order-free.
-      std::int32_t acc[kPanelWidth] = {};
-      for (std::size_t kp = 0; kp < kpad / 2; ++kp) {
-        const std::int32_t a0 = qi[2 * kp];
-        const std::int32_t a1 = qi[2 * kp + 1];
-        const std::int8_t* blk = B + kp * 2 * kPanelWidth;
-        for (std::size_t j = 0; j < kPanelWidth; ++j) {
-          acc[j] += a0 * blk[2 * j] + a1 * blk[2 * j + 1];
-        }
-      }
-      const float rs = row_scales[i];
-      float* yr = y + i * n + j0;
-      for (std::size_t j = 0; j < jn; ++j) {
-        yr[j] = static_cast<float>(acc[j]) * (rs * ws[j]) + bias[j0 + j];
-      }
-    }
-  }
-  // Same band-level activation pass as the fp32 fused kernel.
-  activate_f(act, y + lo * n, y + lo * n, nullptr, (hi - lo) * n);
-}
-
 }  // namespace
 
 namespace detail {
 
 const KernelTable& scalar_table() {
   static const KernelTable table = {
-      "scalar",           gemm_row_band_f,  gemm_tn_band_f,     transpose_f,
-      column_sums_f,      activate_f,       dense_forward_band_f, dense_bias_act_f,
-      quantize_rows_i8_f, dense_bias_act_i8_f,
+      "scalar",      gemm_row_band_f, gemm_tn_band_f,       transpose_f,
+      column_sums_f, activate_f,      dense_forward_band_f, dense_bias_act_f,
   };
   return table;
 }

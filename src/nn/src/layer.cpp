@@ -18,7 +18,6 @@ void DenseLayer::init_lecun_normal(Rng& rng) {
   for (float& v : w_.flat()) v = static_cast<float>(rng.normal(0.0, stddev));
   for (float& v : b_) v = 0.0f;
   packed_.clear();
-  qpacked_.clear();
 }
 
 void DenseLayer::register_params(Optimizer& opt) {
@@ -51,23 +50,7 @@ void DenseLayer::forward_rows(const float* x, float* y, std::size_t rows) const 
   GPUFREQ_DCHECK_FINITE(out);
 }
 
-void DenseLayer::forward_rows_i8(const float* x, std::int16_t* q, float* scales, float* y,
-                                 std::size_t rows) const {
-  GPUFREQ_HOT("gpufreq::nn::DenseLayer::forward_rows_i8");
-  GPUFREQ_REQUIRE(!qpacked_.empty(), "DenseLayer::forward_rows_i8: int8 pack not prepared");
-  // Quantization and the fused int8 GEMM are both row-local, so the two
-  // stages run back to back over the same rows with no cross-row state.
-  const kernels::KernelTable& kt = kernels::active();
-  kt.quantize_rows_i8(x, w_.rows(), q, qpacked_.kpad(), scales, 0, rows);
-  kt.dense_bias_act_i8(q, scales, qpacked_, b_.data(), act_, y, 0, rows);
-  const std::span<const float> out(y, rows * w_.cols());
-  GPUFREQ_DCHECK_FINITE(out);
-}
-
-void DenseLayer::prepare_inference(Precision precision) {
-  packed_.pack(w_);
-  if (precision == Precision::kInt8) qpacked_.pack(w_);
-}
+void DenseLayer::prepare_inference() { packed_.pack(w_); }
 
 void DenseLayer::backward(const Matrix& delta, Matrix* dx) {
   GPUFREQ_REQUIRE(cached_x_ != nullptr, "DenseLayer::backward: forward not called");
@@ -106,7 +89,6 @@ void DenseLayer::apply_gradients(Optimizer& opt) {
   opt.update(slot_w_, w_.flat(), grad_w_.flat());
   opt.update(slot_b_, b_, grad_b_);
   packed_.clear();
-  qpacked_.clear();
 }
 
 }  // namespace gpufreq::nn

@@ -5,7 +5,6 @@
 #include "gpufreq/util/error.hpp"
 #include "gpufreq/util/hot_path.hpp"
 #include "gpufreq/util/thread_pool.hpp"
-#include "gpufreq/util/workspace.hpp"
 
 namespace gpufreq::nn {
 
@@ -63,32 +62,17 @@ std::size_t hidden_width(const std::vector<DenseLayer>& layers) {
   return width;
 }
 
-// Grow-only resize: a smaller batch keeps the buffer as it is, so batches
-// of alternating sizes never re-initialize memory.
-template <class T>
-void grow(std::vector<T>& v, std::size_t n) {
-  if (v.size() < n) gpufreq::detail::workspace_resize(v, n);
-}
-
 }  // namespace
 
-const Matrix& Network::predict_into(const Matrix& x, InferenceWorkspace& ws,
-                                    Precision precision) const {
+const Matrix& Network::predict_into(const Matrix& x, InferenceWorkspace& ws) const {
   GPUFREQ_HOT("gpufreq::nn::Network::predict_into");
   GPUFREQ_REQUIRE(!layers_.empty(), "Network::predict: empty network");
   GPUFREQ_REQUIRE(x.rows() > 0, "Network::predict: empty batch");
   GPUFREQ_REQUIRE(x.cols() == input_dim(), "Network::predict: input width mismatch");
   const std::size_t rows = x.rows();
   const std::size_t width = hidden_width(layers_);
-  const bool int8 = precision == Precision::kInt8;
-  std::size_t kpad = 0;  // widest int8 carrier row (0 when no layer runs int8)
-  if (int8) {
-    for (const auto& l : layers_) kpad = std::max(kpad, l.quantized_kpad());
-  }
   ws.out_.resize_uninit(rows, output_dim());
   if (ws.tiles_.size() < rows * 2 * width) ws.tiles_.resize_uninit(rows, 2 * width);
-  grow(ws.q_, rows * kpad);
-  grow(ws.qscales_, kpad > 0 ? rows : 0);
 
   const std::size_t in_dim = input_dim();
   const std::size_t out_dim = output_dim();
@@ -96,8 +80,6 @@ const Matrix& Network::predict_into(const Matrix& x, InferenceWorkspace& ws,
   const float* X = x.flat().data();
   float* Y = ws.out_.flat().data();
   float* tiles = ws.tiles_.flat().data();
-  std::int16_t* Q = ws.q_.data();
-  float* S = ws.qscales_.data();
   // Depth-first: the chunk's activations stay in its L1-sized region from
   // layer to layer instead of streaming a rows x width matrix through L2
   // once per layer. Chunks start on fixed 48-row boundaries and the
@@ -108,62 +90,43 @@ const Matrix& Network::predict_into(const Matrix& x, InferenceWorkspace& ws,
     float* const tile[2] = {tiles + lo * 2 * width, tiles + lo * 2 * width + n * width};
     const float* in = X + lo * in_dim;
     for (std::size_t i = 0; i <= last; ++i) {
-      const DenseLayer& l = layers_[i];
       float* out = i == last ? Y + lo * out_dim : tile[i & 1];
-      if (int8 && l.inference_prepared(Precision::kInt8)) {
-        l.forward_rows_i8(in, Q + lo * kpad, S + lo, out, n);
-      } else {
-        l.forward_rows(in, out, n);
-      }
+      layers_[i].forward_rows(in, out, n);
       in = out;
     }
   });
   return ws.out_;
 }
 
-Matrix Network::predict(const Matrix& x, Precision precision) const {
-  return predict_into(x, fallback_workspace(), precision);
-}
+Matrix Network::predict(const Matrix& x) const { return predict_into(x, fallback_workspace()); }
 
-std::vector<double> Network::predict_vector(const Matrix& x, Precision precision) const {
+std::vector<double> Network::predict_vector(const Matrix& x) const {
   std::vector<double> out(x.rows());
-  predict_vector_into(x, fallback_workspace(), out, precision);
+  predict_vector_into(x, fallback_workspace(), out);
   return out;
 }
 
 void Network::predict_vector_into(const Matrix& x, InferenceWorkspace& ws,
-                                  std::span<double> out, Precision precision) const {
+                                  std::span<double> out) const {
   GPUFREQ_HOT("gpufreq::nn::Network::predict_vector_into");
   GPUFREQ_REQUIRE(output_dim() == 1, "Network::predict_vector: network is not single-output");
   GPUFREQ_REQUIRE(out.size() == x.rows(), "Network::predict_vector: output size mismatch");
-  const Matrix& y = predict_into(x, ws, precision);
+  const Matrix& y = predict_into(x, ws);
   for (std::size_t i = 0; i < y.rows(); ++i) out[i] = y(i, 0);
 }
 
-void Network::reserve_workspace(InferenceWorkspace& ws, std::size_t max_rows,
-                                Precision precision) const {
+void Network::reserve_workspace(InferenceWorkspace& ws, std::size_t max_rows) const {
   ws.out_.reserve(max_rows, output_dim());
   ws.tiles_.reserve(max_rows, 2 * hidden_width(layers_));
-  if (precision == Precision::kInt8) {
-    // Widest quantized input across layers: in_dim rounded up to even
-    // (the packs may not exist yet, so compute the stride directly).
-    std::size_t max_kpad = 0;
-    for (const auto& l : layers_) {
-      const std::size_t kpad = l.in_dim() + (l.in_dim() & 1);
-      max_kpad = std::max(max_kpad, kpad);
-    }
-    ws.q_.reserve(max_rows * max_kpad);
-    ws.qscales_.reserve(max_rows);
-  }
 }
 
-void Network::prepare_inference(Precision precision) {
-  for (auto& l : layers_) l.prepare_inference(precision);
+void Network::prepare_inference() {
+  for (auto& l : layers_) l.prepare_inference();
 }
 
-bool Network::inference_prepared(Precision precision) const {
+bool Network::inference_prepared() const {
   for (const auto& l : layers_) {
-    if (!l.inference_prepared(precision)) return false;
+    if (!l.inference_prepared()) return false;
   }
   return !layers_.empty();
 }

@@ -34,12 +34,8 @@ std::vector<CatalogEntry> make_catalog(std::size_t n, const sim::GpuSpec& spec,
 /// shape, determinism, and bitwise-parity properties are identical to real
 /// models — which is what the serve tests, benches, and the load-generator
 /// smoke lane need, at millisecond instead of minute startup cost.
-/// `precision` controls which inference packs the models carry: kInt8
-/// builds the quantized packs on top of fp32, so the snapshot serves
-/// predictors of either precision.
 std::shared_ptr<const core::PowerTimeModels> fabricate_models(
-    std::uint64_t seed, const core::FeatureConfig& features = {},
-    nn::Precision precision = nn::default_precision());
+    std::uint64_t seed, const core::FeatureConfig& features = {});
 
 /// Shape of the synthetic open-loop load.
 struct LoadSpec {

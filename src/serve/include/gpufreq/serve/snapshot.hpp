@@ -55,12 +55,11 @@ class ModelSnapshotHolder {
 /// rebuild), so a model swap never perturbs a zero-allocation drain loop.
 class SnapshotCache {
  public:
-  /// Predictor over the holder's current snapshot, running at `precision`.
-  /// Steady state (epoch AND precision unchanged): a single atomic load,
-  /// wait-free; a change in either rebuilds the predictor. The reference
-  /// is valid until the next predictor() call on this cache.
-  const core::OnlinePredictor& predictor(const ModelSnapshotHolder& holder,
-                                         nn::Precision precision = nn::Precision::kFp32);
+  /// Predictor over the holder's current snapshot. Steady state (epoch
+  /// unchanged): a single atomic load, wait-free; a publish rebuilds the
+  /// predictor. The reference is valid until the next predictor() call on
+  /// this cache.
+  const core::OnlinePredictor& predictor(const ModelSnapshotHolder& holder);
 
   /// The models backing the last predictor() result (requires one).
   const core::PowerTimeModels& models() const;
@@ -73,12 +72,11 @@ class SnapshotCache {
   /// predictor. Out-of-line so predictor()'s steady-state fast path stays
   /// free of lock/refcount code (see the hot-path purity contract,
   /// DESIGN.md §8).
-  void refresh(const ModelSnapshotHolder& holder, nn::Precision precision);
+  void refresh(const ModelSnapshotHolder& holder);
 
   std::shared_ptr<const core::PowerTimeModels> pinned_;
   std::optional<core::OnlinePredictor> predictor_;
   std::uint64_t epoch_ = ~std::uint64_t{0};
-  nn::Precision precision_ = nn::Precision::kFp32;
 };
 
 }  // namespace gpufreq::serve

@@ -20,7 +20,7 @@ namespace gpufreq::serve {
 struct ServiceConfig {
   /// Max requests fused into one batched sweep per drain. Requests in one
   /// batch with the same cache identity (SweepCurveCache::Probe: counter
-  /// and t_max bits, grid bits, model epoch, backend and precision) are
+  /// and t_max bits, grid bits, model epoch and kernel backend) are
   /// always coalesced: one item is computed or served from the cache, and
   /// its bitwise-equal curves are copied to the duplicates. Fleet nodes
   /// running the same app catalog submit such identical requests. In the
@@ -33,11 +33,6 @@ struct ServiceConfig {
   /// Requests without a grid hold a view of this one; only custom grids
   /// are copied at submit.
   std::vector<double> frequencies;
-  /// Inference precision for every drained batch (default: the session
-  /// default, GPUFREQ_PRECISION). kInt8 requires the published snapshots'
-  /// models to carry int8 packs (DnnModel::prepare_inference(kInt8));
-  /// models without them silently run fp32 kernels.
-  nn::Precision precision = nn::default_precision();
   /// Sweep-curve cache shape (core::SweepCacheConfig). The default keeps
   /// a 512-entry exact-key cache: repeat requests across drains skip the
   /// GEMM chain entirely and are served bitwise-identical curves.

@@ -47,8 +47,7 @@ std::vector<CatalogEntry> make_catalog(std::size_t n, const sim::GpuSpec& spec,
 }
 
 std::shared_ptr<const core::PowerTimeModels> fabricate_models(std::uint64_t seed,
-                                                              const core::FeatureConfig& features,
-                                                              nn::Precision precision) {
+                                                              const core::FeatureConfig& features) {
   GPUFREQ_REQUIRE(features.dim() > 0, "fabricate_models: empty feature set");
   auto models = std::make_shared<core::PowerTimeModels>();
   models->features = features;
@@ -66,7 +65,6 @@ std::shared_ptr<const core::PowerTimeModels> fabricate_models(std::uint64_t seed
     for (float& v : y.flat()) v = static_cast<float>(rng.normal(0.7, 0.2));
     bundle.target_scaler.fit(y);
     model.restore(std::move(bundle), target);
-    model.prepare_inference(precision);  // restore packed at the session default
   };
   fabricate(models->power, core::Target::kPower, rng.next_u64());
   fabricate(models->time, core::Target::kTime, rng.next_u64());

@@ -37,20 +37,17 @@ std::shared_ptr<const core::PowerTimeModels> ModelSnapshotHolder::snapshot() con
   return current_;
 }
 
-const core::OnlinePredictor& SnapshotCache::predictor(const ModelSnapshotHolder& holder,
-                                                      nn::Precision precision) {
+const core::OnlinePredictor& SnapshotCache::predictor(const ModelSnapshotHolder& holder) {
   GPUFREQ_HOT("gpufreq::serve::SnapshotCache::predictor");
   const std::uint64_t current = holder.epoch();
-  if (current != epoch_ || precision != precision_ || !predictor_.has_value()) {
-    refresh(holder, precision);
-  }
+  if (current != epoch_ || !predictor_.has_value()) refresh(holder);
   return *predictor_;
 }
 
 #if defined(__GNUC__) || defined(__clang__)
 __attribute__((cold, noinline))
 #endif
-void SnapshotCache::refresh(const ModelSnapshotHolder& holder, nn::Precision precision) {
+void SnapshotCache::refresh(const ModelSnapshotHolder& holder) {
   {
     MutexGuard lock(holder.mutex_);
     pinned_ = holder.current_;
@@ -59,8 +56,7 @@ void SnapshotCache::refresh(const ModelSnapshotHolder& holder, nn::Precision pre
     // if another publish raced the unlocked probe above.
     epoch_ = holder.epoch_.load(std::memory_order_acquire);
   }
-  predictor_.emplace(*pinned_, precision);
-  precision_ = precision;
+  predictor_.emplace(*pinned_);
 }
 
 const core::PowerTimeModels& SnapshotCache::models() const {

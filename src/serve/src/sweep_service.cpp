@@ -141,16 +141,14 @@ std::size_t SweepService::drain_locked() {
   const auto picked_up = std::chrono::steady_clock::now();
 
   // Epoch-cached snapshot: one atomic load unless a publish() happened.
-  const core::OnlinePredictor& predictor = snapshot_.predictor(models_, config_.precision);
+  const core::OnlinePredictor& predictor = snapshot_.predictor(models_);
   const std::uint64_t epoch = snapshot_.epoch();
-  // Cache identity context: the active kernel table pins the backend (its
-  // address changes iff set_kernel_backend swaps tables; tables are >= 8
-  // aligned so the low bits are free for the precision tag). Folded into
-  // every key, so a backend or precision change can never serve a curve
-  // computed under a different numeric contract.
+  // Cache identity context: the active kernel table's address, which
+  // changes iff set_kernel_backend swaps tables. Folded into every key, so
+  // a backend change can never serve a curve computed under a different
+  // numeric contract.
   const std::uint64_t context =
-      static_cast<std::uint64_t>(reinterpret_cast<std::uintptr_t>(&nn::kernels::active())) |
-      (static_cast<std::uint64_t>(config_.precision) & 0x3u);
+      static_cast<std::uint64_t>(reinterpret_cast<std::uintptr_t>(&nn::kernels::active()));
   const bool use_cache = cache_.enabled();
 
   // One identity per request: its cache probe, derived once here (cache

@@ -2,7 +2,9 @@
 """Self-check for tools/analyze/gpufreq_arch.py, registered with ctest as
 `arch_selfcheck` (mirrors tests/test_lint_selfcheck.py). Verifies:
 
-  1. the real tree passes every structural check (exit 0),
+  1. the real tree passes the layering and cycle checks (exit 0); its
+     header self-containment is checked by the `selfcontain_<module>`
+     ctest entries instead, which build every public header,
   2. each known-bad fixture tree is rejected (exit 1) by exactly the check
      it seeds: layering violation, include cycle, non-self-contained header,
   3. the JSON report is well-formed and carries the violations,
@@ -42,9 +44,11 @@ def run_arch(*args: str) -> subprocess.CompletedProcess:
 
 
 def main() -> int:
-    # 1. The real tree must pass all checks (selfcontain self-skips without
-    #    a compiler, which still exits 0).
-    r = run_arch()
+    # 1. The real tree must pass the structural checks. Its selfcontain
+    #    pass compiles every public header one by one (tens of seconds);
+    #    the selfcontain_<module> ctest entries build the same headers with
+    #    the full warning set, so this leg leaves them out.
+    r = run_arch("--check", "layering,cycles")
     check("real tree passes arch checks", r.returncode == 0,
           f"exit={r.returncode}\n{r.stdout}{r.stderr}")
 

@@ -75,13 +75,6 @@ PowerTimeModels make_models() {
   return models;
 }
 
-PowerTimeModels make_int8_models() {
-  PowerTimeModels models = make_models();
-  models.power.prepare_inference(nn::Precision::kInt8);
-  models.time.prepare_inference(nn::Precision::kInt8);
-  return models;
-}
-
 TEST(InferenceSweep, NetworkPredictIntoMatchesPredict) {
   nn::Network net(3, nn::Network::paper_architecture(), 77);
   net.prepare_inference();
@@ -153,111 +146,17 @@ TEST(InferenceSweep, PredictSweepMatchesPredictFromFeatures) {
   }
 }
 
-TEST(InferenceSweepInt8, NetworkPredictIntoMatchesPredict) {
-  nn::Network net(3, nn::Network::paper_architecture(), 77);
-  net.prepare_inference(nn::Precision::kInt8);
-  ASSERT_TRUE(net.inference_prepared(nn::Precision::kInt8));
-  const nn::Matrix x = random_features(61, 5);
-  const nn::Matrix y = net.predict(x, nn::Precision::kInt8);
-  nn::InferenceWorkspace ws;
-  const nn::Matrix& y2 = net.predict_into(x, ws, nn::Precision::kInt8);
-  ASSERT_EQ(y2.rows(), y.rows());
-  for (std::size_t i = 0; i < y.rows(); ++i) {
-    EXPECT_EQ(y(i, 0), y2(i, 0)) << "row " << i;  // bitwise
-  }
-}
-
-TEST(InferenceSweepInt8, PredictIsDeterministic) {
-  nn::Network net(3, nn::Network::paper_architecture(), 19);
-  net.prepare_inference(nn::Precision::kInt8);
-  const nn::Matrix x = random_features(37, 11);
-  const nn::Matrix a = net.predict(x, nn::Precision::kInt8);
-  const nn::Matrix b = net.predict(x, nn::Precision::kInt8);
-  for (std::size_t i = 0; i < a.rows(); ++i) EXPECT_EQ(a(i, 0), b(i, 0)) << i;
-}
-
-TEST(InferenceSweepInt8, UnpreparedLayersFallBackToFp32) {
-  // A network prepared only at fp32: requesting kInt8 must run the fp32
-  // kernels (bitwise-equal output), not crash or silently misquantize.
-  nn::Network net(3, nn::Network::paper_architecture(), 23);
-  net.prepare_inference();  // fp32 only
-  ASSERT_FALSE(net.inference_prepared(nn::Precision::kInt8));
-  const nn::Matrix x = random_features(13, 4);
-  const nn::Matrix a = net.predict(x);
-  const nn::Matrix b = net.predict(x, nn::Precision::kInt8);
-  for (std::size_t i = 0; i < a.rows(); ++i) EXPECT_EQ(a(i, 0), b(i, 0)) << i;
-}
-
-TEST(InferenceSweepInt8, EmptyBatchRejected) {
-  nn::Network net(3, nn::Network::paper_architecture(), 29);
-  net.prepare_inference(nn::Precision::kInt8);
-  nn::Matrix empty(0, 3);
-  EXPECT_THROW((void)net.predict(empty, nn::Precision::kInt8), gpufreq::InvalidArgument);
-}
-
-TEST(InferenceSweepInt8, TrainingInvalidatesQuantizedPack) {
+TEST(InferenceSweep, TrainingInvalidatesPack) {
   nn::Network net(3, nn::Network::paper_architecture(), 31);
-  net.prepare_inference(nn::Precision::kInt8);
-  ASSERT_TRUE(net.inference_prepared(nn::Precision::kInt8));
+  net.prepare_inference();
+  ASSERT_TRUE(net.inference_prepared());
   auto opt = nn::make_optimizer("sgd", 1e-3);
   net.bind_optimizer(*opt);
   const nn::Matrix x = random_features(8, 41);
   nn::Matrix y(8, 1);
   for (float& v : y.flat()) v = 0.5f;
   (void)net.train_step(x, y, nn::Loss::kMse, *opt);
-  EXPECT_FALSE(net.inference_prepared(nn::Precision::kInt8));
   EXPECT_FALSE(net.inference_prepared());
-}
-
-TEST(InferenceSweepInt8, SweepTracksFp32Sweep) {
-  // The int8 sweep must stay close to fp32 on the same inputs: same grid,
-  // positive clamped outputs, and power/time within a loose relative band
-  // (the accuracy gate test pins the tight model-quality bound).
-  const PowerTimeModels models = make_int8_models();
-  const OnlinePredictor fp32(models, nn::Precision::kFp32);
-  const OnlinePredictor int8(models, nn::Precision::kInt8);
-  EXPECT_EQ(int8.precision(), nn::Precision::kInt8);
-  sim::GpuDevice gpu(sim::GpuSpec::ga100());
-  sim::RunOptions ro;
-  ro.collect_samples = false;
-  const sim::RunResult acq = gpu.run(workloads::find("lammps"), ro);
-  const auto freqs = gpu.spec().used_frequencies();
-
-  SweepWorkspace a, b;
-  fp32.predict_sweep(acq.mean_counters, acq.exec_time_s, gpu.spec(), freqs, a);
-  int8.predict_sweep(acq.mean_counters, acq.exec_time_s, gpu.spec(), freqs, b);
-  ASSERT_EQ(a.frequencies.size(), b.frequencies.size());
-  for (std::size_t i = 0; i < a.frequencies.size(); ++i) {
-    EXPECT_EQ(a.frequencies[i], b.frequencies[i]) << i;
-    EXPECT_GT(b.power_w[i], 0.0);
-    EXPECT_GT(b.time_s[i], 0.0);
-    EXPECT_NEAR(b.power_w[i], a.power_w[i], 0.05 * a.power_w[i] + 1.0) << i;
-    EXPECT_NEAR(b.time_s[i], a.time_s[i], 0.05 * a.time_s[i] + 1e-3) << i;
-  }
-}
-
-TEST(InferenceSweepInt8, SteadyStateSweepIsAllocationFree) {
-  const PowerTimeModels models = make_int8_models();
-  const OnlinePredictor predictor(models, nn::Precision::kInt8);
-  sim::GpuDevice gpu(sim::GpuSpec::ga100());
-  sim::RunOptions ro;
-  ro.collect_samples = false;
-  const sim::RunResult acq = gpu.run(workloads::find("lammps"), ro);
-  const auto freqs = gpu.spec().used_frequencies();
-
-  SweepWorkspace ws;
-  for (int i = 0; i < 3; ++i) {
-    predictor.predict_sweep(acq.mean_counters, acq.exec_time_s, gpu.spec(), freqs, ws);
-  }
-
-  g_allocation_count.store(0);
-  g_count_allocations.store(true);
-  for (int i = 0; i < 5; ++i) {
-    predictor.predict_sweep(acq.mean_counters, acq.exec_time_s, gpu.spec(), freqs, ws);
-  }
-  g_count_allocations.store(false);
-  EXPECT_EQ(g_allocation_count.load(), 0u)
-      << "steady-state int8 predict_sweep must not touch the heap";
 }
 
 TEST(InferenceSweep, SteadyStateSweepIsAllocationFree) {

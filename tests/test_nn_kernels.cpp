@@ -17,7 +17,6 @@
 #include "gpufreq/nn/kernels/kernel_table.hpp"
 #include "gpufreq/nn/layer.hpp"
 #include "gpufreq/nn/network.hpp"
-#include "gpufreq/nn/precision.hpp"
 #include "gpufreq/util/error.hpp"
 #include "gpufreq/util/rng.hpp"
 #include "gpufreq/util/thread_pool.hpp"
@@ -76,24 +75,6 @@ std::vector<float> fused(const KernelTable& kt, const Matrix& x, const Matrix& w
   packed.pack(w);
   std::vector<float> y(x.rows() * w.cols());
   kt.dense_bias_act(x.flat().data(), packed, bias.data(), act, y.data(), 0, x.rows());
-  return y;
-}
-
-// int8 reference path through one table: quantize rows, run the fused
-// int8 kernel. The x carrier is padded to kpad columns like the real
-// inference workspace.
-std::vector<float> fused_i8(const KernelTable& kt, const Matrix& x, const Matrix& w,
-                            const std::vector<float>& bias, Activation act) {
-  QuantizedPackedWeights packed;
-  packed.pack(w);
-  const std::size_t rows = x.rows();
-  std::vector<std::int16_t> q(rows * packed.kpad());
-  std::vector<float> scales(rows);
-  kt.quantize_rows_i8(x.flat().data(), w.rows(), q.data(), packed.kpad(), scales.data(),
-                      0, rows);
-  std::vector<float> y(rows * w.cols());
-  kt.dense_bias_act_i8(q.data(), scales.data(), packed, bias.data(), act, y.data(), 0,
-                       rows);
   return y;
 }
 
@@ -173,28 +154,6 @@ TEST(KernelDispatch, RejectionMessageListsRegistryAcceptedSet) {
     // Listed name <-> enumerator is a bijection (no alias rows, no '?').
     EXPECT_EQ(to_string(b), name);
   }
-}
-
-// Same contract for GPUFREQ_PRECISION: the message carries the registry-
-// generated set, and the set round-trips through the parser/printer pair.
-TEST(KernelDispatch, PrecisionRejectionMessageListsRegistryAcceptedSet) {
-  const std::string& accepted = accepted_precisions();
-  try {
-    precision_from_string("fp64");
-    FAIL() << "expected InvalidArgument";
-  } catch (const InvalidArgument& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("fp64"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("(expected " + accepted + ")"), std::string::npos) << msg;
-  }
-  const std::vector<std::string> names = split_accepted(accepted);
-  EXPECT_GE(names.size(), 2u) << accepted;
-  for (const std::string& name : names) {
-    const Precision p = precision_from_string(name);  // must not throw
-    EXPECT_EQ(to_string(p), name);
-  }
-  EXPECT_THROW(precision_from_string(""), InvalidArgument);
-  EXPECT_THROW(precision_from_string("INT8"), InvalidArgument);
 }
 
 TEST(KernelDispatch, ForcedScalarIsHonored) {
@@ -318,12 +277,6 @@ void check_simd_parity(const KernelTable& av) {
       av.activate(act, ms.data(), aa.data(), nullptr, ms.size());
       expect_close(as, aa);
       expect_close(fused(sc, x, w, bias, act), fused(av, x, w, bias, act));
-    }
-
-    // int8: the integer accumulator is exact and order-free, so backends
-    // may differ only in the fp32 dequant epilogue — regular tolerance.
-    for (Activation act : {Activation::kRelu, Activation::kLinear, Activation::kSelu}) {
-      expect_close(fused_i8(sc, x, w, bias, act), fused_i8(av, x, w, bias, act));
     }
   }
 }
@@ -817,287 +770,6 @@ TEST(KernelDeterminism, EmptyBatchIsRejected) {
   EXPECT_THROW(net.predict(Matrix()), InvalidArgument);
   InferenceWorkspace ws;
   EXPECT_THROW(net.predict_into(Matrix(), ws), InvalidArgument);
-}
-
-TEST(KernelQuantizedPacking, PanelScalesLayoutAndPadding) {
-  // 3x5 weights, one panel: per-column scale = column maxabs/127 stored
-  // panel-major (0 past cols), k padded to 4 rows, k-pair interleaved
-  // within the panel.
-  Matrix w(3, 5);
-  float v = -7.0f;
-  for (float& e : w.flat()) e = (v += 1.0f);  // values in [-6, 8]
-  QuantizedPackedWeights packed;
-  packed.pack(w);
-  EXPECT_FALSE(packed.empty());
-  EXPECT_EQ(packed.rows(), 3u);
-  EXPECT_EQ(packed.kpad(), 4u);
-  EXPECT_EQ(packed.cols(), 5u);
-  ASSERT_EQ(packed.panel_count(), 1u);
-  const float* scales = packed.scales(0);
-  float amax[5] = {};
-  for (std::size_t j = 0; j < 5; ++j) {
-    for (std::size_t r = 0; r < 3; ++r) amax[j] = std::max(amax[j], std::fabs(w(r, j)));
-    EXPECT_FLOAT_EQ(scales[j], amax[j] / 127.0f) << "col " << j;
-  }
-  for (std::size_t j = 5; j < kPanelWidth; ++j) EXPECT_EQ(scales[j], 0.0f) << "pad col " << j;
-  const std::int8_t* p0 = packed.panel(0);
-  for (std::size_t kp = 0; kp < 2; ++kp) {
-    for (std::size_t r = 0; r < 2; ++r) {
-      const std::size_t row = 2 * kp + r;
-      for (std::size_t j = 0; j < kPanelWidth; ++j) {
-        const std::int8_t got = p0[kp * 2 * kPanelWidth + j * 2 + r];
-        if (row < 3 && j < 5) {
-          const int want = static_cast<int>(std::nearbyintf(w(row, j) * (127.0f / amax[j])));
-          EXPECT_EQ(static_cast<int>(got), std::clamp(want, -127, 127))
-              << "row " << row << " col " << j;
-        } else {
-          EXPECT_EQ(got, 0) << "pad row " << row << " col " << j;
-        }
-      }
-    }
-  }
-  packed.clear();
-  EXPECT_TRUE(packed.empty());
-}
-
-TEST(KernelQuantizedPacking, RejectsOverflowingK) {
-  // k > 1024 would overflow the exact int32 accumulator; pack refuses.
-  Matrix w(1025, 1);
-  for (float& e : w.flat()) e = 1.0f;
-  QuantizedPackedWeights packed;
-  EXPECT_THROW(packed.pack(w), InvalidArgument);
-}
-
-TEST(KernelQuantizedPacking, AllZeroPanelHasZeroScale) {
-  Matrix w(2, 20);
-  for (float& e : w.flat()) e = 0.0f;
-  w(0, 2) = 3.0f;  // column 2 non-zero, everything else all zero
-  QuantizedPackedWeights packed;
-  packed.pack(w);
-  ASSERT_EQ(packed.panel_count(), 2u);
-  EXPECT_GT(packed.scales(0)[2], 0.0f);
-  for (std::size_t j = 0; j < kPanelWidth; ++j) {
-    if (j != 2) {
-      EXPECT_EQ(packed.scales(0)[j], 0.0f) << "col " << j;
-    }
-    EXPECT_EQ(packed.scales(1)[j], 0.0f) << "panel 1 col " << j;
-  }
-  // Dequantizing the zero panel yields exact zeros, never NaN.
-  const KernelTable& sc = detail::scalar_table();
-  const Matrix x = random_matrix(3, 2, 7);
-  const std::vector<float> bias(20, 0.0f);
-  const std::vector<float> y = fused_i8(sc, x, w, bias, Activation::kLinear);
-  for (std::size_t i = 0; i < 3; ++i) {
-    for (std::size_t j = 16; j < 20; ++j) EXPECT_EQ(y[i * 20 + j], 0.0f);
-  }
-}
-
-TEST(KernelInt8, TracksFp32WithinQuantizationError) {
-  // The int8 path approximates fp32: per-row symmetric activation scales
-  // and per-panel weight scales bound the element error by about
-  // (|x|_max |w|_max k) / 127 — loose here, tight statistically. The
-  // model-level accuracy gate (test_int8_accuracy) owns the real bound;
-  // this guards against gross indexing/scale bugs per backend.
-  for (const KernelTable* kt : all_available_tables()) {
-    SCOPED_TRACE(kt->name);
-    for (const Shape& s : kShapes) {
-      SCOPED_TRACE(::testing::Message() << "rows=" << s.rows << " k=" << s.k << " n=" << s.n);
-      const Matrix x = random_matrix(s.rows, s.k, 43 + s.rows);
-      const Matrix w = random_matrix(s.k, s.n, 47 + s.n);
-      const std::vector<float> bias = random_vec(s.n, 53 + s.k);
-      const std::vector<float> y32 = fused(*kt, x, w, bias, Activation::kRelu);
-      const std::vector<float> y8 = fused_i8(*kt, x, w, bias, Activation::kRelu);
-      ASSERT_EQ(y32.size(), y8.size());
-      const double tol = 0.15 * std::sqrt(static_cast<double>(s.k));
-      for (std::size_t i = 0; i < y32.size(); ++i) {
-        EXPECT_NEAR(y32[i], y8[i], tol) << "at index " << i;
-      }
-    }
-  }
-}
-
-TEST(KernelInt8, QuantizePackPredictTwiceIsBitwiseStable) {
-  // quantize -> pack -> predict run twice must be bitwise identical per
-  // backend: no hidden state, no order dependence, re-packing included.
-  for (const KernelTable* kt : all_available_tables()) {
-    SCOPED_TRACE(kt->name);
-    const Matrix x = random_matrix(9, 19, 61);
-    const Matrix w = random_matrix(19, 33, 67);
-    const std::vector<float> bias = random_vec(33, 71);
-    for (Activation act : kAllActivations) {
-      const std::vector<float> y1 = fused_i8(*kt, x, w, bias, act);
-      const std::vector<float> y2 = fused_i8(*kt, x, w, bias, act);
-      ASSERT_EQ(y1.size(), y2.size());
-      for (std::size_t i = 0; i < y1.size(); ++i) {
-        EXPECT_EQ(y1[i], y2[i]) << "at index " << i;
-      }
-    }
-  }
-}
-
-TEST(KernelInt8, SerialEqualsParallelBandSplit) {
-  // Band partitioning must not change int8 results: computing [0, rows)
-  // in one band vs row-by-row bands is bitwise identical (row-local math).
-  for (const KernelTable* kt : all_available_tables()) {
-    SCOPED_TRACE(kt->name);
-    const Matrix x = random_matrix(13, 24, 73);
-    const Matrix w = random_matrix(24, 40, 79);
-    const std::vector<float> bias = random_vec(40, 83);
-    QuantizedPackedWeights packed;
-    packed.pack(w);
-    const std::size_t rows = x.rows();
-    std::vector<std::int16_t> q(rows * packed.kpad());
-    std::vector<float> scales(rows);
-    std::vector<float> y_one(rows * w.cols()), y_split(rows * w.cols());
-    kt->quantize_rows_i8(x.flat().data(), w.rows(), q.data(), packed.kpad(),
-                         scales.data(), 0, rows);
-    kt->dense_bias_act_i8(q.data(), scales.data(), packed, bias.data(),
-                          Activation::kSelu, y_one.data(), 0, rows);
-    for (std::size_t i = 0; i < rows; ++i) {
-      kt->quantize_rows_i8(x.flat().data(), w.rows(), q.data(), packed.kpad(),
-                           scales.data(), i, i + 1);
-      kt->dense_bias_act_i8(q.data(), scales.data(), packed, bias.data(),
-                            Activation::kSelu, y_split.data(), i, i + 1);
-    }
-    for (std::size_t i = 0; i < y_one.size(); ++i) {
-      EXPECT_EQ(y_one[i], y_split[i]) << "at index " << i;
-    }
-  }
-}
-
-// Restore the previous int8 variant when a test finishes so variant-
-// forcing tests cannot leak into the rest of the binary.
-struct ScopedInt8Variant {
-  explicit ScopedInt8Variant(Int8Variant v) : prev_(active_int8_variant()) {
-    set_int8_variant(v);
-  }
-  ~ScopedInt8Variant() { set_int8_variant(prev_); }
-  Int8Variant prev_;
-};
-
-TEST(KernelInt8Variant, KnobRoundTripAndNames) {
-  EXPECT_STREQ(to_string(Int8Variant::kMadd), "madd");
-  EXPECT_STREQ(to_string(Int8Variant::kMaddubs), "maddubs");
-  EXPECT_EQ(int8_variant_from_string("madd"), Int8Variant::kMadd);
-  EXPECT_EQ(int8_variant_from_string("maddubs"), Int8Variant::kMaddubs);
-  EXPECT_THROW(int8_variant_from_string("vnni"), InvalidArgument);
-
-  const Int8Variant before = active_int8_variant();
-  {
-    ScopedInt8Variant forced(Int8Variant::kMaddubs);
-    EXPECT_EQ(active_int8_variant(), Int8Variant::kMaddubs);
-  }
-  EXPECT_EQ(active_int8_variant(), before);
-}
-
-// Scalar emulation of the vpmaddubsw variant's documented integer math:
-// requantize each int16 carrier to the u7 code u = (q + 16384) >> 8, take
-// exact integer dot products of the codes against the packed panel bytes,
-// undo the code shift with the integer column sum (dot = 256*sum(u*w) -
-// 16256*colsum(w), both epilogue products exact in fp32), then the shared
-// scale/bias/activation epilogue. The AVX2 kernel must land on this
-// bitwise — the variant is a different quantization contract, not a
-// different rounding story.
-std::vector<float> maddubs_reference(const std::int16_t* q, const float* row_scales,
-                                     const QuantizedPackedWeights& w,
-                                     const std::vector<float>& bias, Activation act,
-                                     std::size_t rows) {
-  const std::size_t kpad = w.kpad();
-  const std::size_t n = w.cols();
-  std::vector<float> y(rows * n);
-  for (std::size_t p = 0; p < w.panel_count(); ++p) {
-    const std::size_t j0 = p * kPanelWidth;
-    const std::size_t jn = std::min(kPanelWidth, n - j0);
-    const std::int8_t* B = w.panel(p);
-    const float* ws = w.scales(p);
-    for (std::size_t jc = 0; jc < jn; ++jc) {
-      std::int32_t cs = 0;
-      for (std::size_t kp = 0; kp < kpad / 2; ++kp) {
-        const std::int8_t* blk = B + kp * 2 * kPanelWidth;
-        cs += blk[jc * 2] + blk[jc * 2 + 1];
-      }
-      for (std::size_t i = 0; i < rows; ++i) {
-        const std::int16_t* qi = q + i * kpad;
-        std::int32_t acc = 0;
-        for (std::size_t kp = 0; kp < kpad / 2; ++kp) {
-          const std::int8_t* blk = B + kp * 2 * kPanelWidth;
-          const unsigned u0 = static_cast<unsigned>(qi[2 * kp] + 16384) >> 8;
-          const unsigned u1 = static_cast<unsigned>(qi[2 * kp + 1] + 16384) >> 8;
-          acc += static_cast<std::int32_t>(u0) * blk[jc * 2] +
-                 static_cast<std::int32_t>(u1) * blk[jc * 2 + 1];
-        }
-        const float dot =
-            static_cast<float>(acc) * 256.0f - static_cast<float>(cs) * 16256.0f;
-        // Two roundings, as in the kernel: this TU builds with
-        // -ffp-contract=off, so the multiply and the bias add stay apart.
-        const float z = dot * (row_scales[i] * ws[jc]);
-        y[i * n + j0 + jc] = z + bias[j0 + jc];
-      }
-    }
-  }
-  detail::scalar_table().activate(act, y.data(), y.data(), nullptr, rows * n);
-  return y;
-}
-
-TEST(KernelInt8Variant, MaddubsMatchesScalarEmulationBitwise) {
-  if (!avx2_available()) GTEST_SKIP() << "no AVX2+FMA on this machine";
-  const KernelTable& kt = *detail::avx2_table();
-  ScopedInt8Variant forced(Int8Variant::kMaddubs);
-  // Linear and relu only: their vector and scalar activations are exact,
-  // so any mismatch is the integer pipeline, not activation polynomials.
-  for (Activation act : {Activation::kLinear, Activation::kRelu}) {
-    for (const Shape& s : kShapes) {
-      SCOPED_TRACE(::testing::Message() << "act=" << static_cast<int>(act) << " rows=" << s.rows
-                                        << " k=" << s.k << " n=" << s.n);
-      const Matrix x = random_matrix(s.rows, s.k, 131 + s.rows);
-      const Matrix w = random_matrix(s.k, s.n, 137 + s.n);
-      const std::vector<float> bias = random_vec(s.n, 139 + s.k);
-      QuantizedPackedWeights packed;
-      packed.pack(w);
-      std::vector<std::int16_t> q(s.rows * packed.kpad());
-      std::vector<float> scales(s.rows);
-      kt.quantize_rows_i8(x.flat().data(), w.rows(), q.data(), packed.kpad(), scales.data(), 0,
-                          s.rows);
-      std::vector<float> y(s.rows * s.n);
-      kt.dense_bias_act_i8(q.data(), scales.data(), packed, bias.data(), act, y.data(), 0,
-                           s.rows);
-      const std::vector<float> ref =
-          maddubs_reference(q.data(), scales.data(), packed, bias, act, s.rows);
-      for (std::size_t i = 0; i < y.size(); ++i) {
-        ASSERT_EQ(y[i], ref[i]) << "at index " << i;
-      }
-    }
-  }
-}
-
-TEST(KernelInt8Variant, MaddubsTracksMaddWithinCodeQuantization) {
-  // kMaddubs carries ~7 activation bits instead of kMadd's 14: outputs are
-  // a documented approximation of the default variant, not a drop-in
-  // bitwise replacement (vpmaddubsw would saturate on 8-bit codes). This
-  // guards the gross error scale; tools/check_quantization --maddubs owns
-  // the model-level EDP gate.
-  if (!avx2_available()) GTEST_SKIP() << "no AVX2+FMA on this machine";
-  const KernelTable& kt = *detail::avx2_table();
-  for (const Shape& s : kShapes) {
-    SCOPED_TRACE(::testing::Message() << "rows=" << s.rows << " k=" << s.k << " n=" << s.n);
-    const Matrix x = random_matrix(s.rows, s.k, 149 + s.rows);
-    const Matrix w = random_matrix(s.k, s.n, 151 + s.n);
-    const std::vector<float> bias = random_vec(s.n, 157 + s.k);
-    std::vector<float> y_madd, y_maddubs;
-    {
-      ScopedInt8Variant forced(Int8Variant::kMadd);
-      y_madd = fused_i8(kt, x, w, bias, Activation::kSelu);
-    }
-    {
-      ScopedInt8Variant forced(Int8Variant::kMaddubs);
-      y_maddubs = fused_i8(kt, x, w, bias, Activation::kSelu);
-    }
-    ASSERT_EQ(y_madd.size(), y_maddubs.size());
-    const double tol = 0.3 * std::sqrt(static_cast<double>(s.k)) + 0.05;
-    for (std::size_t i = 0; i < y_madd.size(); ++i) {
-      EXPECT_NEAR(y_madd[i], y_maddubs[i], tol) << "at index " << i;
-    }
-  }
 }
 
 }  // namespace

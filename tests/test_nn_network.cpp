@@ -167,31 +167,18 @@ TEST(Network, TrainStepRejectsMismatchedBatch) {
 }
 
 // Layer-by-layer reference for the chunk-major forward: every layer runs
-// the backend's fused kernel over the whole batch in one call (quantizing
-// the whole batch first under kInt8), with weights packed here from the
-// layer's own matrix.
-Matrix layer_by_layer(const Network& net, const Matrix& x, const kernels::KernelTable& kt,
-                      Precision precision) {
+// the backend's fused kernel over the whole batch in one call, with weights
+// packed here from the layer's own matrix.
+Matrix layer_by_layer(const Network& net, const Matrix& x, const kernels::KernelTable& kt) {
   Matrix cur = x;
   for (std::size_t i = 0; i < net.num_layers(); ++i) {
     const DenseLayer& l = net.layer(i);
     const std::size_t rows = cur.rows();
     Matrix out(rows, l.out_dim());
-    if (precision == Precision::kInt8) {
-      kernels::QuantizedPackedWeights qw;
-      qw.pack(l.weights());
-      std::vector<std::int16_t> q(rows * qw.kpad());
-      std::vector<float> scales(rows);
-      kt.quantize_rows_i8(cur.flat().data(), l.in_dim(), q.data(), qw.kpad(), scales.data(),
-                          0, rows);
-      kt.dense_bias_act_i8(q.data(), scales.data(), qw, l.bias().data(), l.activation(),
-                           out.flat().data(), 0, rows);
-    } else {
-      kernels::PackedWeights pw;
-      pw.pack(l.weights());
-      kt.dense_bias_act(cur.flat().data(), pw, l.bias().data(), l.activation(),
-                        out.flat().data(), 0, rows);
-    }
+    kernels::PackedWeights pw;
+    pw.pack(l.weights());
+    kt.dense_bias_act(cur.flat().data(), pw, l.bias().data(), l.activation(), out.flat().data(),
+                      0, rows);
     cur = std::move(out);
   }
   return cur;
@@ -229,27 +216,24 @@ TEST(NetworkChunkMajor, MatchesLayerByLayerBitwise) {
   Network ragged(7, {{33, Activation::kRelu}, {64, Activation::kTanh}, {17, Activation::kLinear}},
                  43);
   for (Network* net : {&paper, &ragged}) {
-    net->prepare_inference(Precision::kInt8);
+    net->prepare_inference();
     Rng rng(net->input_dim());
     const Matrix big = make_inputs(7808, net->input_dim(), rng);
     for (kernels::Backend b : backends) {
       ScopedBackend guard(b);
-      for (Precision precision : {Precision::kFp32, Precision::kInt8}) {
-        InferenceWorkspace ws;  // reused across every batch size below
-        for (std::size_t rows : kRows) {
-          SCOPED_TRACE(::testing::Message()
-                       << kernels::to_string(b) << " " << to_string(precision)
-                       << " in=" << net->input_dim() << " rows=" << rows);
-          Matrix x(rows, net->input_dim());
-          std::copy_n(big.flat().begin(), x.size(), x.flat().begin());
-          const Matrix ref = layer_by_layer(*net, x, kernels::active(), precision);
-          for (std::size_t threads : {1, 4}) {
-            set_num_threads(threads);
-            const Matrix& y = net->predict_into(x, ws, precision);
-            ASSERT_EQ(y.rows(), rows);
-            ASSERT_EQ(y.cols(), net->output_dim());
-            EXPECT_EQ(first_mismatch(y, ref), -1) << "threads=" << threads;
-          }
+      InferenceWorkspace ws;  // reused across every batch size below
+      for (std::size_t rows : kRows) {
+        SCOPED_TRACE(::testing::Message() << kernels::to_string(b) << " in=" << net->input_dim()
+                                          << " rows=" << rows);
+        Matrix x(rows, net->input_dim());
+        std::copy_n(big.flat().begin(), x.size(), x.flat().begin());
+        const Matrix ref = layer_by_layer(*net, x, kernels::active());
+        for (std::size_t threads : {1, 4}) {
+          set_num_threads(threads);
+          const Matrix& y = net->predict_into(x, ws);
+          ASSERT_EQ(y.rows(), rows);
+          ASSERT_EQ(y.cols(), net->output_dim());
+          EXPECT_EQ(first_mismatch(y, ref), -1) << "threads=" << threads;
         }
       }
     }

@@ -105,10 +105,9 @@ TEST(ServeAlloc, ReservedWorkspaceFirstBatchIsAllocationFree) {
 }
 
 TEST(ServeAlloc, ReservedWorkspaceFirstFullDrainIsAllocationFree) {
-  // A full 128-item drain (7808 rows) through the chunk-major forward, at
-  // both precisions: reserve_batch_workspace must pre-size everything the
-  // first batch touches, the networks' output matrices and chunk tiles
-  // included.
+  // A full 128-item drain (7808 rows) through the chunk-major forward:
+  // reserve_batch_workspace must pre-size everything the first batch
+  // touches, the networks' output matrices and chunk tiles included.
   const sim::GpuSpec spec = sim::GpuSpec::ga100();
   const auto catalog = make_catalog(4, spec, 7);
   const std::vector<double> grid = spec.used_frequencies();
@@ -119,24 +118,21 @@ TEST(ServeAlloc, ReservedWorkspaceFirstFullDrainIsAllocationFree) {
                      .measured_time_at_max_s = app.measured_time_at_max_s,
                      .frequencies = grid});
   }
-  for (nn::Precision precision : {nn::Precision::kFp32, nn::Precision::kInt8}) {
-    SCOPED_TRACE(nn::to_string(precision));
-    const auto models = fabricate_models(42, {}, precision);
-    const core::OnlinePredictor predictor(*models, precision);
-    {
-      core::BatchSweepWorkspace warmup;  // process-wide lazy state only
-      predictor.predict_sweep_batch(std::span(items).first(2), spec, warmup);
-    }
-    core::BatchSweepWorkspace ws;
-    predictor.reserve_batch_workspace(ws, items.size(), items.size() * grid.size());
-
-    g_allocation_count.store(0);
-    g_count_allocations.store(true);
-    predictor.predict_sweep_batch(items, spec, ws);
-    g_count_allocations.store(false);
-    EXPECT_EQ(g_allocation_count.load(), 0u)
-        << "the first full drain on a reserved workspace must not allocate";
+  const auto models = fabricate_models(42);
+  const core::OnlinePredictor predictor(*models);
+  {
+    core::BatchSweepWorkspace warmup;  // process-wide lazy state only
+    predictor.predict_sweep_batch(std::span(items).first(2), spec, warmup);
   }
+  core::BatchSweepWorkspace ws;
+  predictor.reserve_batch_workspace(ws, items.size(), items.size() * grid.size());
+
+  g_allocation_count.store(0);
+  g_count_allocations.store(true);
+  predictor.predict_sweep_batch(items, spec, ws);
+  g_count_allocations.store(false);
+  EXPECT_EQ(g_allocation_count.load(), 0u)
+      << "the first full drain on a reserved workspace must not allocate";
 }
 
 TEST(ServeAlloc, ChunkMajorForwardAllocatesOnlyInReserve) {
@@ -144,32 +140,29 @@ TEST(ServeAlloc, ChunkMajorForwardAllocatesOnlyInReserve) {
   // forward at a new high-water row count, and any smaller or equal one
   // after it, allocates nothing.
   const std::size_t kDrainRows = 128 * 61;
-  for (nn::Precision precision : {nn::Precision::kFp32, nn::Precision::kInt8}) {
-    SCOPED_TRACE(nn::to_string(precision));
-    nn::Network net(3, nn::Network::paper_architecture(), 17);
-    net.prepare_inference(precision);
-    const nn::Matrix big(kDrainRows, 3, 0.25f);
-    const nn::Matrix small(61, 3, 0.5f);
-    {
-      nn::InferenceWorkspace warmup;  // process-wide lazy state only
-      (void)net.predict_into(small, warmup, precision);
-    }
-    nn::InferenceWorkspace ws;
-    g_allocation_count.store(0);
-    g_count_allocations.store(true);
-    net.reserve_workspace(ws, kDrainRows, precision);
-    g_count_allocations.store(false);
-    EXPECT_GT(g_allocation_count.load(), 0u) << "reserve_workspace owns the growth";
-
-    g_allocation_count.store(0);
-    g_count_allocations.store(true);
-    (void)net.predict_into(big, ws, precision);    // first call, new high-water mark
-    (void)net.predict_into(small, ws, precision);  // shrink
-    (void)net.predict_into(big, ws, precision);    // grow back
-    g_count_allocations.store(false);
-    EXPECT_EQ(g_allocation_count.load(), 0u)
-        << "a reserved chunk-major forward must not allocate at any row count";
+  nn::Network net(3, nn::Network::paper_architecture(), 17);
+  net.prepare_inference();
+  const nn::Matrix big(kDrainRows, 3, 0.25f);
+  const nn::Matrix small(61, 3, 0.5f);
+  {
+    nn::InferenceWorkspace warmup;  // process-wide lazy state only
+    (void)net.predict_into(small, warmup);
   }
+  nn::InferenceWorkspace ws;
+  g_allocation_count.store(0);
+  g_count_allocations.store(true);
+  net.reserve_workspace(ws, kDrainRows);
+  g_count_allocations.store(false);
+  EXPECT_GT(g_allocation_count.load(), 0u) << "reserve_workspace owns the growth";
+
+  g_allocation_count.store(0);
+  g_count_allocations.store(true);
+  (void)net.predict_into(big, ws);    // first call, new high-water mark
+  (void)net.predict_into(small, ws);  // shrink
+  (void)net.predict_into(big, ws);    // grow back
+  g_count_allocations.store(false);
+  EXPECT_EQ(g_allocation_count.load(), 0u)
+      << "a reserved chunk-major forward must not allocate at any row count";
 }
 
 TEST(ServeAlloc, SteadyStateServiceDrainIsAllocationFree) {
@@ -325,69 +318,6 @@ TEST(ServeAlloc, CachedDrainHitsAndInsertsAreAllocationFree) {
   EXPECT_EQ(g_allocation_count.load(), 0u)
       << "an all-hit cached drain must not touch the heap";
   EXPECT_GT(cached.stats().cache_hits, 0u);
-}
-
-TEST(ServeAlloc, SteadyStateInt8BatchSweepIsAllocationFree) {
-  // The int8 path adds quantization scratch (int16 carriers + row scales)
-  // to the workspace; once warmed it must be just as heap-silent as fp32.
-  const auto models = fabricate_models(42, {}, nn::Precision::kInt8);
-  const core::OnlinePredictor predictor(*models, nn::Precision::kInt8);
-  const sim::GpuSpec spec = sim::GpuSpec::ga100();
-  const auto catalog = make_catalog(4, spec, 7);
-  const std::vector<double> grid = spec.used_frequencies();
-
-  std::vector<core::BatchSweepItem> items;
-  for (std::size_t i = 0; i < 61; ++i) {
-    const CatalogEntry& app = catalog[i % catalog.size()];
-    items.push_back({.counters = &app.counters,
-                     .measured_time_at_max_s = app.measured_time_at_max_s,
-                     .frequencies = grid});
-  }
-
-  core::BatchSweepWorkspace ws;
-  for (int i = 0; i < 3; ++i) predictor.predict_sweep_batch(items, spec, ws);
-
-  g_allocation_count.store(0);
-  g_count_allocations.store(true);
-  for (int i = 0; i < 5; ++i) predictor.predict_sweep_batch(items, spec, ws);
-  g_count_allocations.store(false);
-  EXPECT_EQ(g_allocation_count.load(), 0u)
-      << "steady-state int8 predict_sweep_batch must not touch the heap";
-}
-
-TEST(ServeAlloc, SteadyStateInt8ServiceDrainIsAllocationFree) {
-  const auto models = fabricate_models(42, {}, nn::Precision::kInt8);
-  const sim::GpuSpec spec = sim::GpuSpec::ga100();
-  ModelSnapshotHolder holder(models);
-  ServiceConfig config;
-  config.max_batch = 32;
-  config.precision = nn::Precision::kInt8;
-  SweepService service(holder, spec, config);
-  const auto catalog = make_catalog(4, spec, 7);
-
-  const auto submit_round = [&] {
-    for (std::size_t i = 0; i < 32; ++i) {
-      SweepRequest r;
-      r.descriptor = {.category = WorkloadCategory::kInteractive, .band = 1};
-      r.counters = catalog[i % catalog.size()].counters;
-      r.measured_time_at_max_s = catalog[i % catalog.size()].measured_time_at_max_s;
-      (void)service.submit(std::move(r));
-    }
-  };
-
-  for (int round = 0; round < 2; ++round) {
-    submit_round();
-    ASSERT_EQ(service.drain_once(), 32u);
-  }
-
-  submit_round();
-  g_allocation_count.store(0);
-  g_count_allocations.store(true);
-  const std::size_t served = service.drain_once();
-  g_count_allocations.store(false);
-  EXPECT_EQ(served, 32u);
-  EXPECT_EQ(g_allocation_count.load(), 0u)
-      << "steady-state int8 SweepService::drain_once must not touch the heap";
 }
 
 }  // namespace

@@ -110,44 +110,6 @@ TEST(ServeBatch, WorkspaceIsReusableAcrossBatchShapes) {
   }
 }
 
-TEST(ServeBatch, Int8BatchMatchesSequentialInt8Bitwise) {
-  // The fused-batch bitwise contract holds per precision: an int8 batched
-  // sweep must equal N independent int8 predict_sweep calls bit for bit
-  // (same quantize + same int32 accumulator + same epilogue per row).
-  auto models = fabricate_models(42, {}, nn::Precision::kInt8);
-  const sim::GpuSpec spec = sim::GpuSpec::ga100();
-  const core::OnlinePredictor predictor(*models, nn::Precision::kInt8);
-  const std::vector<CatalogEntry> catalog = make_catalog(27, spec, 7);
-  const std::vector<std::vector<double>> grids = ragged_grids(spec, 32);
-
-  std::vector<core::BatchSweepItem> items;
-  for (std::size_t i = 0; i < grids.size(); ++i) {
-    const CatalogEntry& app = catalog[i % catalog.size()];
-    items.push_back({.counters = &app.counters,
-                     .measured_time_at_max_s = app.measured_time_at_max_s,
-                     .frequencies = grids[i]});
-  }
-
-  core::BatchSweepWorkspace ws;
-  predictor.predict_sweep_batch(items, spec, ws);
-  ASSERT_EQ(ws.items(), items.size());
-
-  core::SweepWorkspace sws;
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    predictor.predict_sweep(*items[i].counters, items[i].measured_time_at_max_s, spec,
-                            grids[i], sws);
-    ASSERT_EQ(ws.rows(i), sws.frequencies.size()) << "item " << i;
-    const auto power = ws.item_power(i);
-    const auto time = ws.item_time(i);
-    const auto energy = ws.item_energy(i);
-    for (std::size_t r = 0; r < sws.frequencies.size(); ++r) {
-      EXPECT_EQ(bits(power[r]), bits(sws.power_w[r])) << "item " << i << " row " << r;
-      EXPECT_EQ(bits(time[r]), bits(sws.time_s[r])) << "item " << i << " row " << r;
-      EXPECT_EQ(bits(energy[r]), bits(sws.energy_j[r])) << "item " << i << " row " << r;
-    }
-  }
-}
-
 TEST(ServeBatch, ValidatesItems) {
   Fixture f;
   core::BatchSweepWorkspace ws;

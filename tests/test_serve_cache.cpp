@@ -2,10 +2,11 @@
 // service: exact-key hits are bitwise-identical to recomputing, LRU
 // eviction and set aliasing under pressure, wholesale invalidation by
 // model-epoch keying (including racing a concurrent hot-swap — the TSan
-// lane runs this), the quantized-key mode sharing a rounding cell, the
-// one-key identity (a one-field difference never shares a curve, equal bits
-// always do, hit views outlive same-drain evictions), and the parallel
-// sharded drain matching the serial drain bitwise.
+// lane runs this) and by kernel-backend keying, the quantized-key mode
+// sharing a rounding cell, the one-key identity (a one-field difference
+// never shares a curve, equal bits always do, hit views outlive same-drain
+// evictions), and the parallel sharded drain matching the serial drain
+// bitwise.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -19,6 +20,7 @@
 
 #include "gpufreq/core/pipeline.hpp"
 #include "gpufreq/core/sweep_cache.hpp"
+#include "gpufreq/nn/kernels/dispatch.hpp"
 #include "gpufreq/serve/load_generator.hpp"
 #include "gpufreq/serve/sweep_service.hpp"
 #include "gpufreq/sim/gpu_spec.hpp"
@@ -302,6 +304,39 @@ TEST(ServeCache, ModelEpochBumpInvalidatesWholesale) {
   const SweepTicket again = service.submit(f.request(0));
   EXPECT_EQ(service.drain_once(), 1u);
   EXPECT_TRUE(again.wait().cache_hit);
+}
+
+TEST(ServeCache, KernelBackendSwapNeverServesTheOtherBackendsCurve) {
+  // The backend is the cache key's context word: a request drained under
+  // one backend and again after set_kernel_backend must miss, and get the
+  // new backend's curve, not the bits the old backend computed.
+  const nn::kernels::Backend active = nn::kernels::active_backend();
+  if (active == nn::kernels::Backend::kScalar) {
+    GTEST_SKIP() << "the active backend is already scalar";
+  }
+  struct RestoreBackend {
+    nn::kernels::Backend backend;
+    ~RestoreBackend() { nn::kernels::set_kernel_backend(backend); }
+  } restore{active};
+
+  Fixture f;
+  SweepService service(f.holder, f.spec);
+  const SweepTicket before = service.submit(f.request(0));
+  EXPECT_EQ(service.drain_once(), 1u);
+  EXPECT_FALSE(before.wait().cache_hit);
+  const std::uint64_t misses = service.stats().cache_misses;
+
+  nn::kernels::set_kernel_backend(nn::kernels::Backend::kScalar);
+  const SweepTicket after = service.submit(f.request(0));
+  EXPECT_EQ(service.drain_once(), 1u);
+  const SweepOutcome& out = after.wait();
+  EXPECT_FALSE(out.cache_hit);
+  EXPECT_EQ(service.stats().cache_misses, misses + 1);
+  const core::OnlinePredictor predictor(*f.models);
+  core::SweepWorkspace ws;
+  predictor.predict_sweep(f.catalog[0].counters, f.catalog[0].measured_time_at_max_s, f.spec,
+                          service.default_frequencies(), ws);
+  expect_curves_bitwise_equal(out, ws);
 }
 
 TEST(ServeCache, EpochInvalidationRacesConcurrentHotSwap) {

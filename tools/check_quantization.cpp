@@ -1,45 +1,33 @@
-// Quantization accuracy gate, runnable from the command line (CI lane
-// and local checks). Trains the paper-shape power/time models on a
-// reduced campaign, packs them for int8, sweeps every registry workload
-// across the full used-frequency grid at both precisions, and fails
-// (exit 1) when the int8 curves drift past the thresholds:
+// Quantized cache-key accuracy gate, runnable from the command line (CI
+// lane and local checks). Trains the paper-shape power/time models on a
+// reduced campaign, then checks the sweep-curve cache's quantized-key mode
+// (SweepCacheConfig::key_bits): for every registry workload, the cell
+// representative and the worst-case cell corners must be EDP-equivalent
+// when served the representative's curve (strict argmin, or fp32-EDP
+// regret <= --max-edp-regret). Exits 1 when the agreement floor fails.
 //
-//   --max-mape-delta <pct>     per-row |int8-fp32|/fp32 MAPE cap for both
-//                              the power and time models (default 2.0)
-//   --min-edp-agreement <frac> minimum fraction of workloads whose
+//   --min-edp-agreement <frac> minimum fraction of cell members whose
 //                              EDP-optimal selection is EDP-equivalent to
-//                              fp32's (default 0.95)
+//                              the served curve's (default 0.95)
 //   --max-edp-regret <pct>     how close (in fp32-EDP) a differing argmin
 //                              must be to count as EDP-equivalent
 //                              (default 0.5)
 //   --fast                     cheaper training campaign (CI uses this)
-//   --key-study                additionally gate the sweep-curve cache's
-//                              quantized-key mode: every workload's cell
-//                              representative and worst-case cell corners
-//                              must be EDP-equivalent (strict argmin or
-//                              fp32-EDP regret <= --max-edp-regret) when
-//                              served the representative's curve
-//   --key-bits N               keying grid for --key-study, matching
+//   --key-bits N               keying grid, matching
 //                              SweepCacheConfig::key_bits (default 8)
-//   --maddubs                  run the int8 sweeps with the vpmaddubsw
-//                              kernel variant (Int8Variant::kMaddubs, ~7
-//                              activation bits); AVX2 only — on other
-//                              backends this is the default variant
 //
-// Mirrors tests/test_int8_accuracy.cpp; the strict argmin-identity rate
-// is always printed so drift is visible even while the gate passes.
+// The strict argmin-identity rate is always printed so drift is visible
+// even while the gate passes.
+#include <algorithm>
 #include <bit>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "gpufreq/core/pipeline.hpp"
 #include "gpufreq/core/sweep_cache.hpp"
-#include "gpufreq/nn/kernels/dispatch.hpp"
 #include "gpufreq/util/stats.hpp"
 #include "gpufreq/workloads/registry.hpp"
 
@@ -48,19 +36,16 @@ using namespace gpufreq;
 namespace {
 
 struct Options {
-  double max_mape_delta_pct = 2.0;
   double min_edp_agreement = 0.95;
   double max_edp_regret_pct = 0.5;
   bool fast = false;
-  bool key_study = false;
   unsigned key_bits = 8;
-  bool maddubs = false;
 };
 
 [[noreturn]] void usage_and_exit(const char* argv0) {
   std::fprintf(stderr,
-               "usage: %s [--max-mape-delta PCT] [--min-edp-agreement FRAC] "
-               "[--max-edp-regret PCT] [--fast] [--key-study] [--key-bits N] [--maddubs]\n",
+               "usage: %s [--min-edp-agreement FRAC] [--max-edp-regret PCT] [--fast] "
+               "[--key-bits N]\n",
                argv0);
   std::exit(2);
 }
@@ -73,20 +58,14 @@ Options parse_options(int argc, char** argv) {
       if (i + 1 >= argc) usage_and_exit(argv[0]);
       return std::atof(argv[++i]);
     };
-    if (arg == "--max-mape-delta") {
-      opt.max_mape_delta_pct = value();
-    } else if (arg == "--min-edp-agreement") {
+    if (arg == "--min-edp-agreement") {
       opt.min_edp_agreement = value();
     } else if (arg == "--max-edp-regret") {
       opt.max_edp_regret_pct = value();
     } else if (arg == "--fast") {
       opt.fast = true;
-    } else if (arg == "--key-study") {
-      opt.key_study = true;
     } else if (arg == "--key-bits") {
       opt.key_bits = static_cast<unsigned>(value());
-    } else if (arg == "--maddubs") {
-      opt.maddubs = true;
     } else {
       usage_and_exit(argv[0]);
     }
@@ -136,11 +115,10 @@ sim::CounterSet map_keyed_fields(const sim::CounterSet& c, Fn&& map) {
 /// whose counters land in a rounding cell is served the first-seen
 /// member's curve. The study gates the worst case — the cell
 /// representative (the quantized midpoint) plus the cell's low and high
-/// corner members — with the same EDP-equivalence criterion as the int8
-/// gate: the frequency the served curve selects must be the member's own
-/// argmin, or cost at most max_edp_regret_pct extra in the member's own
-/// fp32 EDP. Returns true when the agreement floor holds.
-bool run_key_study(const core::OnlinePredictor& fp32, sim::GpuDevice& gpu,
+/// corner members: the frequency the served curve selects must be the
+/// member's own argmin, or cost at most max_edp_regret_pct extra in the
+/// member's own EDP. Returns true when the agreement floor holds.
+bool run_key_study(const core::OnlinePredictor& predictor, sim::GpuDevice& gpu,
                    const std::vector<double>& grid, const Options& opt) {
   using core::SweepCurveCache;
   const unsigned kb = opt.key_bits;
@@ -174,7 +152,7 @@ bool run_key_study(const core::OnlinePredictor& fp32, sim::GpuDevice& gpu,
     // farthest any member sits from it).
     const sim::CounterSet rep = map_keyed_fields(acq.mean_counters, quantize);
     const double rep_t = std::bit_cast<double>(quantize(t_bits));
-    fp32.predict_sweep(rep, rep_t, gpu.spec(), grid, served_ws);
+    predictor.predict_sweep(rep, rep_t, gpu.spec(), grid, served_ws);
     std::vector<double> edp_served(grid.size());
     for (std::size_t i = 0; i < grid.size(); ++i)
       edp_served[i] = served_ws.energy_j[i] * served_ws.time_s[i];
@@ -193,7 +171,7 @@ bool run_key_study(const core::OnlinePredictor& fp32, sim::GpuDevice& gpu,
          std::bit_cast<double>(high_corner(t_bits))},
     };
     for (const Member& m : members) {
-      fp32.predict_sweep(m.counters, m.t, gpu.spec(), grid, member_ws);
+      predictor.predict_sweep(m.counters, m.t, gpu.spec(), grid, member_ws);
       std::vector<double> edp(grid.size());
       for (std::size_t i = 0; i < grid.size(); ++i)
         edp[i] = member_ws.energy_j[i] * member_ws.time_s[i];
@@ -230,18 +208,6 @@ bool run_key_study(const core::OnlinePredictor& fp32, sim::GpuDevice& gpu,
 
 int main(int argc, char** argv) {
   const Options opt = parse_options(argc, argv);
-  if (opt.maddubs) {
-    if (!nn::kernels::avx2_available()) {
-      std::fprintf(stderr, "--maddubs needs AVX2; this host has no AVX2+FMA\n");
-      return 2;
-    }
-    // The variant lives in the AVX2 table only; pin the backend so an
-    // AVX-512 host doesn't silently measure the default kernel instead.
-    nn::kernels::set_kernel_backend(nn::kernels::Backend::kAvx2);
-    nn::kernels::set_int8_variant(nn::kernels::Int8Variant::kMaddubs);
-    std::printf("int8 variant: maddubs (vpmaddubsw, ~7 activation bits; AVX2 backend pinned)\n");
-  }
-
   sim::GpuDevice gpu(sim::GpuSpec::ga100());
   core::OfflineConfig cfg;
   cfg.collection.frequencies_mhz = coarse_grid(gpu.spec());
@@ -251,71 +217,10 @@ int main(int argc, char** argv) {
     cfg.power_model.epochs = 60;
     cfg.time_model.epochs = 25;
   }
-  core::PowerTimeModels models = core::OfflineTrainer(cfg).train(gpu, workloads::training_set());
-  models.power.prepare_inference(nn::Precision::kInt8);
-  models.time.prepare_inference(nn::Precision::kInt8);
-
-  const core::OnlinePredictor fp32(models, nn::Precision::kFp32);
-  const core::OnlinePredictor int8(models, nn::Precision::kInt8);
-  const std::vector<double> grid = gpu.spec().used_frequencies();
-
-  double power_err = 0.0, time_err = 0.0;
-  std::size_t rows = 0, n_workloads = 0, strict = 0, agree = 0;
-  double worst_regret_pct = 0.0;
-  core::SweepWorkspace a, b;
-  sim::RunOptions ro;
-  ro.collect_samples = false;
-  for (const auto& wl : workloads::all()) {
-    const sim::RunResult acq = gpu.run(wl, ro);
-    fp32.predict_sweep(acq.mean_counters, acq.exec_time_s, gpu.spec(), grid, a);
-    int8.predict_sweep(acq.mean_counters, acq.exec_time_s, gpu.spec(), grid, b);
-    std::vector<double> edp_a(grid.size()), edp_b(grid.size());
-    for (std::size_t i = 0; i < grid.size(); ++i) {
-      power_err += std::abs(b.power_w[i] - a.power_w[i]) / a.power_w[i];
-      time_err += std::abs(b.time_s[i] - a.time_s[i]) / a.time_s[i];
-      edp_a[i] = a.energy_j[i] * a.time_s[i];
-      edp_b[i] = b.energy_j[i] * b.time_s[i];
-      ++rows;
-    }
-    ++n_workloads;
-    const std::size_t pick_a = stats::argmin(edp_a);
-    const std::size_t pick_b = stats::argmin(edp_b);
-    const double regret_pct = 100.0 * (edp_a[pick_b] - edp_a[pick_a]) / edp_a[pick_a];
-    worst_regret_pct = std::max(worst_regret_pct, regret_pct);
-    if (pick_a == pick_b) ++strict;
-    if (pick_a == pick_b || regret_pct <= opt.max_edp_regret_pct) {
-      ++agree;
-    } else {
-      std::printf("DISAGREE %-12s fp32 bin %zu vs int8 bin %zu (fp32-EDP regret %.4f%%)\n",
-                  wl.name.c_str(), pick_a, pick_b, regret_pct);
-    }
-  }
-
-  const double power_mape = 100.0 * power_err / static_cast<double>(rows);
-  const double time_mape = 100.0 * time_err / static_cast<double>(rows);
-  const double agreement = static_cast<double>(agree) / static_cast<double>(n_workloads);
-  std::printf("grid: %zu workloads x %zu configs (%zu rows)\n", n_workloads, grid.size(), rows);
-  std::printf("power MAPE %.4f%% | time MAPE %.4f%% (cap %.2f%%)\n", power_mape, time_mape,
-              opt.max_mape_delta_pct);
-  std::printf("EDP-equivalent selections %zu/%zu (%.1f%%, floor %.1f%%) | strict argmin %zu/%zu "
-              "| worst fp32-EDP regret %.4f%% (cap %.2f%%)\n",
-              agree, n_workloads, 100.0 * agreement, 100.0 * opt.min_edp_agreement, strict,
-              n_workloads, worst_regret_pct, opt.max_edp_regret_pct);
-
-  bool ok = true;
-  if (power_mape >= opt.max_mape_delta_pct) {
-    std::printf("FAIL: power MAPE %.4f%% exceeds cap %.2f%%\n", power_mape, opt.max_mape_delta_pct);
-    ok = false;
-  }
-  if (time_mape >= opt.max_mape_delta_pct) {
-    std::printf("FAIL: time MAPE %.4f%% exceeds cap %.2f%%\n", time_mape, opt.max_mape_delta_pct);
-    ok = false;
-  }
-  if (agreement < opt.min_edp_agreement) {
-    std::printf("FAIL: EDP agreement %.3f below floor %.3f\n", agreement, opt.min_edp_agreement);
-    ok = false;
-  }
-  if (opt.key_study && !run_key_study(fp32, gpu, grid, opt)) ok = false;
+  const core::PowerTimeModels models =
+      core::OfflineTrainer(cfg).train(gpu, workloads::training_set());
+  const core::OnlinePredictor predictor(models);
+  const bool ok = run_key_study(predictor, gpu, gpu.spec().used_frequencies(), opt);
   std::printf("%s\n", ok ? "quantization gate PASSED" : "quantization gate FAILED");
   return ok ? 0 : 1;
 }

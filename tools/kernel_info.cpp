@@ -1,14 +1,13 @@
 // Prints the kernel-backend situation of this binary on this CPU: which
-// backends are compiled in / runnable, which one dispatch would pick, and
-// the default inference precision. CI uses `--require <backend>` to make
-// its conditional lanes explicit (exit 0 = available, 3 = not available,
-// 2 = usage error) instead of silently skipping.
+// backends are compiled in / runnable, and which one dispatch would pick.
+// CI uses `--require <backend>` to make its conditional lanes explicit
+// (exit 0 = available, 3 = not available, 2 = usage error) instead of
+// silently skipping.
 #include <cstdio>
 #include <cstring>
 #include <string>
 
 #include "gpufreq/nn/kernels/dispatch.hpp"
-#include "gpufreq/nn/precision.hpp"
 
 using namespace gpufreq::nn;
 
@@ -38,7 +37,5 @@ int main(int argc, char** argv) {
   std::printf("avx2   : %s\n", kernels::avx2_available() ? "available" : "not available");
   std::printf("avx512 : %s\n", kernels::avx512_available() ? "available" : "not available");
   std::printf("active : %s\n", kernels::to_string(kernels::active_backend()));
-  std::printf("precision: %s\n",
-               default_precision() == Precision::kInt8 ? "int8" : "fp32");
   return 0;
 }
