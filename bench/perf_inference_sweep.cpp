@@ -39,13 +39,10 @@ nn::Matrix random_batch(std::size_t rows, std::size_t cols) {
 }
 
 // Forward pass of the paper architecture (3 -> 64 SELU x3 -> 1 linear)
-// over a `rows`-row batch; second argument: 0 = unfused fallback, 1 = fused
-// over packed weights.
+// over a `rows`-row batch.
 void network_forward(benchmark::State& state, std::size_t rows) {
   if (!bench::select_backend(state)) return;
-  nn::Network net(3, nn::Network::paper_architecture(), /*seed=*/123);
-  const bool fused = state.range(1) != 0;
-  if (fused) net.prepare_inference();
+  const nn::Network net(3, nn::Network::paper_architecture(), /*seed=*/123);
   const nn::Matrix x = random_batch(rows, 3);
   nn::InferenceWorkspace ws;
   for (auto _ : state) {
@@ -54,16 +51,13 @@ void network_forward(benchmark::State& state, std::size_t rows) {
     benchmark::ClobberMemory();
   }
   state.counters["rows"] = static_cast<double>(rows);
-  state.counters["fused"] = fused ? 1.0 : 0.0;
   bench::reset_backend();
 }
 
 // One 61-row sweep batch.
 void BM_NetworkForward(benchmark::State& state) { network_forward(state, kSweepRows); }
 BENCHMARK(BM_NetworkForward)
-    ->ArgPair(0, 0)->ArgPair(0, 1)
-    ->ArgPair(1, 0)->ArgPair(1, 1)
-    ->ArgPair(2, 0)->ArgPair(2, 1)
+    ->Arg(0)->Arg(1)->Arg(2)
     ->Unit(benchmark::kMicrosecond);
 
 // The capacity-drain shape: a full 128-item drain of 61-row sweeps run as
@@ -73,9 +67,7 @@ void BM_NetworkForwardDrain(benchmark::State& state) {
   network_forward(state, kDrainItems * kSweepRows);
 }
 BENCHMARK(BM_NetworkForwardDrain)
-    ->ArgPair(0, 0)->ArgPair(0, 1)
-    ->ArgPair(1, 0)->ArgPair(1, 1)
-    ->ArgPair(2, 0)->ArgPair(2, 1)
+    ->Arg(0)->Arg(1)->Arg(2)
     ->Unit(benchmark::kMicrosecond);
 
 // The full online sweep through the allocation-free entry point: feature
@@ -102,33 +94,6 @@ void BM_SweepPredict(benchmark::State& state) {
   bench::reset_backend();
 }
 BENCHMARK(BM_SweepPredict)
-    ->Arg(0)->Arg(1)->Arg(2)
-    ->Unit(benchmark::kMicrosecond);
-
-// Same sweep through the legacy DvfsProfile-returning wrapper (what the
-// seed benchmarked as BM_PredictFullDvfsSpace), for the before/after
-// comparison in BENCH_perf.json. The wrapper allocates its result, so it
-// is not the path serving uses.
-void BM_SweepPredictLegacy(benchmark::State& state) {
-  if (!bench::select_backend(state)) return;
-  static sim::GpuDevice gpu = bench::make_ga100();
-  const core::OnlinePredictor predictor(sweep_models());
-
-  gpu.reset_clocks();
-  sim::RunOptions ro;
-  ro.collect_samples = false;
-  const sim::RunResult acq = gpu.run(workloads::find("lammps"), ro);
-  const auto freqs = gpu.spec().used_frequencies();
-
-  for (auto _ : state) {
-    const core::DvfsProfile p = predictor.predict_from_features(
-        acq.mean_counters, acq.exec_time_s, gpu.spec(), freqs, "lammps");
-    benchmark::DoNotOptimize(p.energy_j.data());
-  }
-  state.counters["configs"] = static_cast<double>(freqs.size());
-  bench::reset_backend();
-}
-BENCHMARK(BM_SweepPredictLegacy)
     ->Arg(0)->Arg(1)->Arg(2)
     ->Unit(benchmark::kMicrosecond);
 

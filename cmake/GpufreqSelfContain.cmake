@@ -15,7 +15,9 @@
 # build tree are not safe.
 #
 # tools/analyze/gpufreq_arch.py --check selfcontain performs the same check
-# compiler-only (no CMake) for the analysis gate and the fixture tests.
+# compiler-only (no CMake) for the fixture tests and standalone runs; the
+# analysis gate (tools/run_static_analysis.sh) relies on these targets,
+# built by its -Werror stage.
 
 function(gpufreq_add_header_selfcontain_checks module)
   set(inc_dir "${CMAKE_CURRENT_SOURCE_DIR}/include")

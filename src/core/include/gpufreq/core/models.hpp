@@ -53,8 +53,7 @@ class DnnModel {
   Target target() const { return target_; }
 
   /// Predict the (normalized) target for a feature matrix: TDP fraction for
-  /// power models, slowdown for time models. train() and restore() pack
-  /// the network for the fused inference kernel.
+  /// power models, slowdown for time models.
   std::vector<double> predict(const nn::Matrix& x) const;
 
   /// predict() into caller-owned scratch and output (out.size() must equal

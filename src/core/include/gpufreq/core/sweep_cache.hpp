@@ -2,6 +2,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -59,7 +60,10 @@ struct SweepCacheStats {
 /// stale curves age out via LRU replacement without any flush walk.
 ///
 /// All storage — one flat double slab plus a metadata array — is allocated
-/// at construction; lookup() and insert() never allocate, lock, or throw,
+/// at construction. The slab is left unwritten there (only insert() writes
+/// it, and find() reads an entry's rows only once insert() has made it
+/// valid), so a new cache costs no 2 MB fill; lookup() and insert() never
+/// allocate, lock, or throw,
 /// and both are GPUFREQ_HOT roots of the static purity and resource-bound
 /// proofs. NOT internally synchronized: callers serialize access (the
 /// sweep service uses it under its drain mutex).
@@ -168,8 +172,8 @@ class SweepCurveCache {
   std::size_t max_rows_ = 0;
   unsigned key_bits_ = 0;
 
-  std::vector<Entry> entries_;  ///< sets * ways, set-major
-  std::vector<double> slab_;    ///< entries * kBands * max_rows doubles
+  std::vector<Entry> entries_;      ///< sets * ways, set-major
+  std::unique_ptr<double[]> slab_;  ///< entries * kBands * max_rows doubles
   std::uint64_t tick_ = 0;
   SweepCacheStats stats_;
 };

@@ -47,10 +47,6 @@ nn::TrainHistory DnnModel::train(const Dataset& dataset, Target target,
 
   const nn::Trainer trainer(tc);
   const nn::TrainHistory history = trainer.fit(bundle_.network, x, y);
-  // Weights are final: pack them for the fused inference kernel while the
-  // model is still exclusively owned by this thread, rather than lazily
-  // on a serving thread.
-  bundle_.network.prepare_inference();
   trained_ = true;
   return history;
 }
@@ -92,7 +88,6 @@ double DnnModel::predict_one(std::span<const float> x) const {
 
 void DnnModel::restore(nn::ModelBundle bundle, Target target) {
   bundle_ = std::move(bundle);
-  bundle_.network.prepare_inference();
   target_ = target;
   trained_ = true;
 }

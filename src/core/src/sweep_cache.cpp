@@ -58,9 +58,11 @@ SweepCurveCache::SweepCurveCache(const SweepCacheConfig& config) {
   max_rows_ = config.max_rows;
   key_bits_ = config.key_bits;
   // The whole footprint is allocated here, once: steady-state lookups and
-  // inserts only ever index into these two arrays.
+  // inserts only ever index into these two arrays. Entries start invalid;
+  // the slab is not filled, because nothing reads a row before insert()
+  // writes it.
   entries_.resize(sets_ * ways_);
-  slab_.assign(sets_ * ways_ * kBands * max_rows_, 0.0);
+  slab_ = std::make_unique_for_overwrite<double[]>(sets_ * ways_ * kBands * max_rows_);
 }
 
 void SweepCurveCache::make_probe(const sim::CounterSet& counters, double measured_time_at_max_s,
@@ -107,17 +109,17 @@ SweepCurveCache::LookupResult SweepCurveCache::find(const Probe& probe,
     Entry& e = entries_[base + w];
     if (!e.valid || e.hash != probe.hash || e.rows != grid.size() ||
         std::memcmp(e.key, probe.key, sizeof e.key) != 0 ||
-        !same_bits(slab_.data() + band_offset(base + w, 0), grid.data(), grid.size()))
+        !same_bits(slab_.get() + band_offset(base + w, 0), grid.data(), grid.size()))
       continue;
 
     e.tick = ++tick_;
     ++stats_.hits;
     LookupResult r;
     r.hit = true;
-    r.frequencies = {slab_.data() + band_offset(base + w, 1), e.rows};
-    r.power_w = {slab_.data() + band_offset(base + w, 2), e.rows};
-    r.time_s = {slab_.data() + band_offset(base + w, 3), e.rows};
-    r.energy_j = {slab_.data() + band_offset(base + w, 4), e.rows};
+    r.frequencies = {slab_.get() + band_offset(base + w, 1), e.rows};
+    r.power_w = {slab_.get() + band_offset(base + w, 2), e.rows};
+    r.time_s = {slab_.get() + band_offset(base + w, 3), e.rows};
+    r.energy_j = {slab_.get() + band_offset(base + w, 4), e.rows};
     return r;
   }
 
@@ -173,11 +175,11 @@ void SweepCurveCache::insert(const Probe& probe, std::span<const double> grid,
   e.rows = static_cast<std::uint32_t>(rows);
   e.tick = ++tick_;
   e.valid = true;
-  std::copy(grid.begin(), grid.end(), slab_.data() + band_offset(victim, 0));
-  std::copy(frequencies.begin(), frequencies.end(), slab_.data() + band_offset(victim, 1));
-  std::copy(power_w.begin(), power_w.end(), slab_.data() + band_offset(victim, 2));
-  std::copy(time_s.begin(), time_s.end(), slab_.data() + band_offset(victim, 3));
-  std::copy(energy_j.begin(), energy_j.end(), slab_.data() + band_offset(victim, 4));
+  std::copy(grid.begin(), grid.end(), slab_.get() + band_offset(victim, 0));
+  std::copy(frequencies.begin(), frequencies.end(), slab_.get() + band_offset(victim, 1));
+  std::copy(power_w.begin(), power_w.end(), slab_.get() + band_offset(victim, 2));
+  std::copy(time_s.begin(), time_s.end(), slab_.get() + band_offset(victim, 3));
+  std::copy(energy_j.begin(), energy_j.end(), slab_.get() + band_offset(victim, 4));
 }
 
 void SweepCurveCache::clear() {

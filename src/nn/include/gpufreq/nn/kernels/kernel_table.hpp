@@ -3,7 +3,6 @@
 #include <cstddef>
 
 #include "gpufreq/nn/activations.hpp"
-#include "gpufreq/nn/kernels/packing.hpp"
 
 namespace gpufreq::nn::kernels {
 
@@ -47,8 +46,9 @@ struct KernelTable {
   /// tests can check the fused epilogues' d against it.
   void (*activate)(Activation act, const float* z, float* y, float* d, std::size_t n);
 
-  /// Fused training/evaluation layer, rows [lo, hi), over UNPACKED
-  /// weights W (k x m, row-major):
+  /// Fused dense layer, rows [lo, hi), over the weights W (k x m,
+  /// row-major) as the layer stores them; training, evaluation and serving
+  /// all run through it (inference passes d = nullptr):
   ///   z = X[i] * W + bias,  y = act(z),  d = act'(z) (when d != nullptr)
   /// Each z element is gemm_row_band's p-ascending chain from zero with
   /// the bias added after it, and y/d are computed per element exactly as
@@ -59,19 +59,6 @@ struct KernelTable {
   void (*dense_forward_band)(const float* x, const float* w, const float* bias,
                              Activation act, float* y, float* d, std::size_t k,
                              std::size_t m, std::size_t lo, std::size_t hi);
-
-  /// Fused inference layer, rows [lo, hi):
-  ///   Y[i] = act(X[i] * W + bias)
-  /// over panel-packed weights — the bias add rides the GEMM epilogue and
-  /// the activation is applied before the band is handed back, so no
-  /// separate Z matrix ever exists. Whether the activation is fused per
-  /// register tile (avx2) or runs as one pass over the finished band
-  /// (scalar — measured faster there) is a backend choice; both orders
-  /// give the same per-element result. X: batch x w.rows(),
-  /// Y: batch x w.cols(), bias: w.cols().
-  void (*dense_bias_act)(const float* x, const PackedWeights& w, const float* bias,
-                         Activation act, float* y, std::size_t lo, std::size_t hi);
-
 };
 
 /// Table of the active backend; first use runs dispatch selection.

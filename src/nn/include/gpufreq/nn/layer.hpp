@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "gpufreq/nn/activations.hpp"
-#include "gpufreq/nn/kernels/packing.hpp"
 #include "gpufreq/nn/matrix.hpp"
 #include "gpufreq/nn/optimizer.hpp"
 #include "gpufreq/util/rng.hpp"
@@ -39,22 +38,12 @@ class DenseLayer {
   void forward(const Matrix& x, Matrix& out);
 
   /// Fused forward over `rows` contiguous rows (no caching):
-  /// y = act(x * W + b), with the bias add and activation in the GEMM
-  /// epilogue. Runs the active backend's dense_bias_act over the packed
-  /// weights when inference_prepared(), else dense_forward_band over the
-  /// weights as they are (the bits of the training forward). `x` is
-  /// rows x in_dim and `y` rows x out_dim, both dense row-major. Rows are
-  /// independent, so disjoint row ranges may run concurrently.
+  /// y = act(x * W + b) through the active backend's dense_forward_band,
+  /// the training forward's kernel, so a row gets the bits training and
+  /// evaluation give it. `x` is rows x in_dim and `y` rows x out_dim, both
+  /// dense row-major. Rows are independent, so disjoint row ranges may run
+  /// concurrently.
   void forward_rows(const float* x, float* y, std::size_t rows) const;
-
-  /// Pack the weights for the fused inference kernel. Call after the
-  /// weights settle (end of training / deserialization / any external
-  /// mutation through weights()); gradient updates and re-initialization
-  /// invalidate the pack automatically.
-  void prepare_inference();
-
-  /// True when the packed weights are current.
-  bool inference_prepared() const { return !packed_.empty(); }
 
   /// Backward on the calling thread: `delta` is dL/dY (batch x out).
   /// Computes parameter gradients (averaged over the batch) and, unless
@@ -69,7 +58,6 @@ class DenseLayer {
   Matrix w_;               // in x out
   std::vector<float> b_;   // out
   Activation act_;
-  kernels::PackedWeights packed_;  // panel-packed w_, empty when stale
 
   Matrix grad_w_;
   std::vector<float> grad_b_;

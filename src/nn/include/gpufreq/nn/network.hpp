@@ -15,15 +15,17 @@ struct LayerSpec {
   Activation activation = Activation::kSelu;
 };
 
-/// Reusable scratch for Network::predict_into. A prepared network runs
-/// chunk-major: each 48-row chunk of the batch passes through every layer
-/// before the next chunk starts. The chunk ping-pongs its hidden
-/// activations between two tiles inside its own disjoint region of
-/// `tiles_` (2 x 48 x widest-hidden floats, small enough to stay in L1),
-/// and the last layer writes straight into `out_`, the matrix predict_into
-/// returns. Capacity only grows, so steady-state inference performs no
-/// heap allocation. One workspace serves any number of networks; share one
-/// per thread, not across threads.
+/// Reusable scratch for Network::predict_into, which runs chunk-major:
+/// each 48-row chunk of the batch passes through every layer before the
+/// next chunk starts. The chunk ping-pongs its hidden activations between
+/// two tiles inside its own disjoint region of `tiles_`; a chunk touches
+/// only its 2 x 48 x widest-hidden floats (small enough to stay in L1),
+/// but the buffer holds one such region per chunk, rows x 2 x
+/// widest-hidden floats in all (4 MB for a 7808-row drain of the paper
+/// model). The last layer writes straight into `out_`, the matrix
+/// predict_into returns. Capacity only grows, so steady-state inference
+/// performs no heap allocation. One workspace serves any number of
+/// networks; share one per thread, not across threads.
 class InferenceWorkspace {
  public:
   InferenceWorkspace() = default;
@@ -42,7 +44,12 @@ class Network {
   /// Build a network; weights are LeCun-normal initialized from `seed`.
   Network(std::size_t input_dim, const std::vector<LayerSpec>& layers, std::uint64_t seed);
 
-  /// Uninitialized network (deserialization only).
+  /// Assemble a network from layers whose weights are already set (model
+  /// load): each layer's in_dim must equal the previous layer's out_dim.
+  /// Draws no random numbers.
+  explicit Network(std::vector<DenseLayer> layers);
+
+  /// Empty network (a placeholder to move or assign into).
   Network() = default;
 
   std::size_t input_dim() const;
@@ -64,10 +71,9 @@ class Network {
   /// Inference into a caller-owned workspace; the returned reference
   /// points into the workspace and stays valid until the workspace is
   /// reused. This is the chunk-major fused forward — allocation-free once
-  /// the workspace has grown to the batch (see reserve_workspace). Layers
-  /// prepared by prepare_inference run over their packed weights;
-  /// unprepared layers (e.g. during training) run the training forward's
-  /// kernel over the weights as they are.
+  /// the workspace has grown to the batch (see reserve_workspace). Every
+  /// layer runs the training forward's kernel over its weights as they
+  /// are, so nothing needs preparing after training or loading.
   const Matrix& predict_into(const Matrix& x, InferenceWorkspace& ws) const;
 
   /// Convenience for single-output networks: predict a column vector.
@@ -82,15 +88,6 @@ class Network {
   /// network, so a later predict_into at or below that batch size performs
   /// no allocation even on its first call. Capacity only grows.
   void reserve_workspace(InferenceWorkspace& ws, std::size_t max_rows) const;
-
-  /// Pack every layer's weights for the fused inference kernel.
-  /// Idempotent; training steps and weight re-initialization invalidate
-  /// the packs (the network then runs over the unpacked weights until
-  /// re-prepared).
-  void prepare_inference();
-
-  /// True when every layer's fused-inference pack is current.
-  bool inference_prepared() const;
 
   /// One optimizer step on a mini-batch; returns the batch loss before the
   /// update. `opt` must have been bound with bind_optimizer first.

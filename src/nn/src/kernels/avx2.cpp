@@ -27,7 +27,6 @@ namespace {
 
 constexpr std::size_t kMr = 6;
 constexpr std::size_t kNr = 16;
-static_assert(kNr == kPanelWidth, "packed panels must match the GEMM tile width");
 
 // Lane mask selecting the first `count` of 8 lanes (count <= 8), for
 // maskload/maskstore, which never touch the lanes it leaves out.
@@ -237,11 +236,10 @@ inline void store16(float* c, __m256i ml, __m256i mh, __m256 cl, __m256 ch) {
 // rows) re-reads its last live row in the spare rows, whose accumulators
 // the caller never stores; every C element is one p-ascending FMA chain
 // from zero at any tile height.
-template <bool kMasked = false>
+template <bool kMasked>
 inline void tile_accumulate(const float* a, std::size_t ars, std::size_t aps, const float* b,
                             std::size_t ldb, std::size_t k, __m256 acc[kMr][2],
-                            std::size_t live = kMr, __m256i ml = __m256i{},
-                            __m256i mh = __m256i{}) {
+                            std::size_t live, __m256i ml, __m256i mh) {
   std::size_t row_off[kMr];
   for (std::size_t r = 0; r < kMr; ++r) row_off[r] = std::min(r, live - 1) * ars;
   // The chains run in a local tile written out once at the end: __m256 may
@@ -264,23 +262,6 @@ inline void tile_accumulate(const float* a, std::size_t ars, std::size_t aps, co
   for (std::size_t r = 0; r < kMr; ++r) {
     acc[r][0] = t[r][0];
     acc[r][1] = t[r][1];
-  }
-}
-
-// Single-row variant for the GEMM row tails (same chains, element p of
-// the row at a[p * aps]).
-template <bool kMasked>
-inline void row_accumulate(const float* a, std::size_t aps, const float* b, std::size_t ldb,
-                           std::size_t k, __m256i ml, __m256i mh, __m256& accl,
-                           __m256& acch) {
-  accl = _mm256_setzero_ps();
-  acch = _mm256_setzero_ps();
-  for (std::size_t p = 0; p < k; ++p) {
-    __m256 bl, bh;
-    load16<kMasked>(b + p * ldb, ml, mh, bl, bh);
-    const __m256 av = _mm256_broadcast_ss(a + p * aps);
-    accl = _mm256_fmadd_ps(av, bl, accl);
-    acch = _mm256_fmadd_ps(av, bh, acch);
   }
 }
 
@@ -343,9 +324,9 @@ struct BiasAct {
 };
 
 // One 16-column block (columns [j0, j0 + jw) of C, B already offset to
-// j0) of rows [lo, hi): full tiles, then single rows, each finished row
-// handed to the epilogue. The epilogue runs over a constant kMr so the
-// accumulators stay in registers.
+// j0) of rows [lo, hi): full tiles, then the row tail as one partial
+// tile, each finished row handed to the epilogue. The full-tile epilogue
+// runs over a constant kMr so the accumulators stay in registers.
 template <bool kMasked, class Epi>
 inline void gemm_block(const float* A, std::size_t ars, std::size_t aps, const float* B,
                        std::size_t k, std::size_t m, std::size_t lo, std::size_t hi,
@@ -358,10 +339,12 @@ inline void gemm_block(const float* A, std::size_t ars, std::size_t aps, const f
       epi.template put<kMasked>(i0 + r, j0, jw, ml, mh, acc[r][0], acc[r][1]);
     }
   }
-  for (; i0 < hi; ++i0) {
-    __m256 al, ah;
-    row_accumulate<kMasked>(A + i0 * ars, aps, B, m, k, ml, mh, al, ah);
-    epi.template put<kMasked>(i0, j0, jw, ml, mh, al, ah);
+  if (i0 < hi) {
+    const std::size_t live = hi - i0;
+    tile_accumulate<kMasked>(A + i0 * ars, ars, aps, B, m, k, acc, live, ml, mh);
+    for (std::size_t r = 0; r < live; ++r) {
+      epi.template put<kMasked>(i0 + r, j0, jw, ml, mh, acc[r][0], acc[r][1]);
+    }
   }
 }
 
@@ -463,51 +446,6 @@ void column_sums_f(const float* m, float* out, std::size_t rows, std::size_t col
   }
 }
 
-// Fused epilogue for one tile row held in two lanes: y = act(acc + bias).
-// Full-width panels store straight from registers; tail panels bounce
-// through a stack buffer so no load or store ever leaves [0, jn).
-inline void bias_act_store(Activation act, __m256 accl, __m256 acch, const float* bias,
-                           float* y, std::size_t jn) {
-  if (jn == kNr && vectorizable(act)) {
-    _mm256_storeu_ps(y, act8(act, _mm256_add_ps(accl, _mm256_loadu_ps(bias))));
-    _mm256_storeu_ps(y + 8, act8(act, _mm256_add_ps(acch, _mm256_loadu_ps(bias + 8))));
-    return;
-  }
-  alignas(32) float tmp[kNr];
-  _mm256_store_ps(tmp, accl);
-  _mm256_store_ps(tmp + 8, acch);
-  for (std::size_t j = 0; j < jn; ++j) tmp[j] += bias[j];
-  detail::scalar_table().activate(act, tmp, y, nullptr, jn);
-}
-
-void dense_bias_act_f(const float* x, const PackedWeights& w, const float* bias,
-                      Activation act, float* y, std::size_t lo, std::size_t hi) {
-  GPUFREQ_HOT("gpufreq::nn::kernels::(anonymous namespace)::dense_bias_act_f");
-  const std::size_t k = w.rows();
-  const std::size_t n = w.cols();
-  for (std::size_t p = 0; p < w.panel_count(); ++p) {
-    const std::size_t j0 = p * kPanelWidth;
-    const std::size_t jn = std::min(kPanelWidth, n - j0);
-    const float* B = w.panel(p);
-    std::size_t i = lo;
-    __m256 acc[kMr][2];
-    for (; i + kMr <= hi; i += kMr) {
-      tile_accumulate(x + i * k, k, 1, B, kPanelWidth, k, acc);
-      for (std::size_t r = 0; r < kMr; ++r) {
-        bias_act_store(act, acc[r][0], acc[r][1], bias + j0, y + (i + r) * n + j0, jn);
-      }
-    }
-    // Row tail: one partial tile, same p-ascending order.
-    if (i < hi) {
-      const std::size_t live = hi - i;
-      tile_accumulate(x + i * k, k, 1, B, kPanelWidth, k, acc, live);
-      for (std::size_t r = 0; r < live; ++r) {
-        bias_act_store(act, acc[r][0], acc[r][1], bias + j0, y + (i + r) * n + j0, jn);
-      }
-    }
-  }
-}
-
 }  // namespace
 
 namespace detail {
@@ -515,7 +453,7 @@ namespace detail {
 const KernelTable* avx2_table() {
   static const KernelTable table = {
       "avx2",        gemm_row_band_f, gemm_tn_band_f,       transpose_f,
-      column_sums_f, activate_f,      dense_forward_band_f, dense_bias_act_f,
+      column_sums_f, activate_f,      dense_forward_band_f,
   };
   return &table;
 }

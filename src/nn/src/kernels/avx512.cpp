@@ -5,12 +5,10 @@
 // can't target AVX-512 the real implementation compiles away and
 // avx512_table() returns nullptr.
 //
-// Shape: 32-wide column tiles — a PAIR of 16-float zmm lanes, i.e. two
-// packed panels side by side — with __mmask16 masked loads/stores on every
-// tail, and an 8-row register tile (16 zmm accumulators + 2 B lanes in
-// the 32-register budget). One packed panel row is exactly one 64-byte
-// zmm load, so the fused dense_bias_act streams weights at full cache-line
-// granularity and shares each broadcast x element across both panels.
+// Shape: 32-wide column tiles — a PAIR of 16-float zmm lanes sharing each
+// broadcast A element — with __mmask16 masked loads/stores on every tail,
+// and an 8-row register tile (16 zmm accumulators + 2 B lanes in the
+// 32-register budget).
 //
 // NaN handling matches the other backends: _mm512_min_ps/_mm512_max_ps
 // return their SECOND operand when either input is NaN (clamps are written
@@ -38,9 +36,9 @@ namespace gpufreq::nn::kernels {
 
 namespace {
 
+constexpr std::size_t kLanes = 16;  // floats per zmm register
 constexpr std::size_t kMr = 8;
-constexpr std::size_t kNr = 32;
-static_assert(kNr == 2 * kPanelWidth, "column tile is a pair of packed panels");
+constexpr std::size_t kNr = 2 * kLanes;
 
 // Lane mask selecting the first `count` of 16 lanes (count <= 16).
 inline __mmask16 mask_for(std::size_t count) {
@@ -166,7 +164,7 @@ inline void act_deriv16(Activation act, __m512 z, __m512& y, __m512& d) {
 inline void act_store(Activation act, __m512 z, float* y, float* d, __mmask16 msk,
                       std::size_t count) {
   if (!vectorizable(act)) {
-    alignas(64) float tmp[kPanelWidth];
+    alignas(64) float tmp[kLanes];
     _mm512_store_ps(tmp, z);
     if (act == Activation::kSoftplus && d != nullptr) {
       _mm512_mask_storeu_ps(d, msk, act16(Activation::kSigmoid, z));
@@ -204,14 +202,18 @@ void activate_f(Activation act, const float* z, float* y, float* d, std::size_t 
   }
 }
 
-// 8x32 register tile of C = op(A) * B against an UNPACKED B (ld = ldb):
-// 16 accumulators + 2 B lanes. Element (r, p) of op(A) sits at
+// 8x32 register tile of C = op(A) * B (B row stride ldb): 16
+// accumulators + 2 B lanes. Element (r, p) of op(A) sits at
 // a[r * ars + p * aps], so (lda, 1) reads A and (1, lda) reads A^T.
 // Masked B loads/C stores make the same kernel serve full and tail column
-// blocks; every C element is one p-ascending FMA chain from zero.
+// blocks. A partial tile (`live` < kMr rows) re-reads its last live row in
+// the spare rows, whose accumulators the caller never stores; every C
+// element is one p-ascending FMA chain from zero at any tile height.
 inline void tile_accumulate(const float* a, std::size_t ars, std::size_t aps, const float* b,
                             std::size_t ldb, std::size_t k, __mmask16 m0, __mmask16 m1,
-                            __m512 acc[kMr][2]) {
+                            __m512 acc[kMr][2], std::size_t live) {
+  std::size_t row_off[kMr];
+  for (std::size_t r = 0; r < kMr; ++r) row_off[r] = std::min(r, live - 1) * ars;
   // The chains run in a local tile written out once at the end: __m512 may
   // alias any float, so chains kept in `acc` itself would be stored back
   // on every p step once a caller's epilogue indexes it by row.
@@ -224,7 +226,7 @@ inline void tile_accumulate(const float* a, std::size_t ars, std::size_t aps, co
     const __m512 bl = _mm512_maskz_loadu_ps(m0, b + p * ldb);
     const __m512 bh = _mm512_maskz_loadu_ps(m1, b + p * ldb + 16);
     for (std::size_t r = 0; r < kMr; ++r) {
-      const __m512 av = _mm512_set1_ps(a[r * ars + p * aps]);
+      const __m512 av = _mm512_set1_ps(a[row_off[r] + p * aps]);
       t[r][0] = _mm512_fmadd_ps(av, bl, t[r][0]);
       t[r][1] = _mm512_fmadd_ps(av, bh, t[r][1]);
     }
@@ -232,20 +234,6 @@ inline void tile_accumulate(const float* a, std::size_t ars, std::size_t aps, co
   for (std::size_t r = 0; r < kMr; ++r) {
     acc[r][0] = t[r][0];
     acc[r][1] = t[r][1];
-  }
-}
-
-// Single-row variant for row tails (same chains, element p of the row at
-// a[p * aps]).
-inline void row_accumulate(const float* a, std::size_t aps, const float* b, std::size_t ldb,
-                           std::size_t k, __mmask16 m0, __mmask16 m1, __m512& accl,
-                           __m512& acch) {
-  accl = _mm512_setzero_ps();
-  acch = _mm512_setzero_ps();
-  for (std::size_t p = 0; p < k; ++p) {
-    const __m512 av = _mm512_set1_ps(a[p * aps]);
-    accl = _mm512_fmadd_ps(av, _mm512_maskz_loadu_ps(m0, b + p * ldb), accl);
-    acch = _mm512_fmadd_ps(av, _mm512_maskz_loadu_ps(m1, b + p * ldb + 16), acch);
   }
 }
 
@@ -288,7 +276,7 @@ struct BiasAct {
     const std::size_t off = i * m + j0;
     float* dl = d == nullptr ? nullptr : d + off;
     store(_mm512_add_ps(l, _mm512_maskz_loadu_ps(m0, bias + j0)), y + off, dl, m0);
-    if (jw > kPanelWidth) {
+    if (jw > kLanes) {
       store(_mm512_add_ps(h, _mm512_maskz_loadu_ps(m1, bias + j0 + 16)), y + off + 16,
             dl == nullptr ? nullptr : dl + 16, m1);
     }
@@ -316,8 +304,8 @@ __attribute__((noinline)) void gemm_band(const float* A, std::size_t ars, std::s
     const __m512i idx = _mm512_mullo_epi32(
         _mm512_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15),
         _mm512_set1_epi32(static_cast<int>(ars)));
-    for (std::size_t i0 = lo; i0 < hi; i0 += kPanelWidth) {
-      const __mmask16 msk = mask_for(std::min(kPanelWidth, hi - i0));
+    for (std::size_t i0 = lo; i0 < hi; i0 += kLanes) {
+      const __mmask16 msk = mask_for(std::min(kLanes, hi - i0));
       const float* a = A + i0 * ars;
       __m512 acc = _mm512_setzero_ps();
       for (std::size_t p = 0; p < k; ++p) {
@@ -332,18 +320,20 @@ __attribute__((noinline)) void gemm_band(const float* A, std::size_t ars, std::s
   }
   for (std::size_t j0 = 0; j0 < m; j0 += kNr) {
     const std::size_t jw = std::min(kNr, m - j0);
-    const __mmask16 m0 = mask_for(std::min<std::size_t>(jw, kPanelWidth));
-    const __mmask16 m1 = mask_for(jw > kPanelWidth ? jw - kPanelWidth : 0);
+    const __mmask16 m0 = mask_for(std::min<std::size_t>(jw, kLanes));
+    const __mmask16 m1 = mask_for(jw > kLanes ? jw - kLanes : 0);
     std::size_t i0 = lo;
     __m512 acc[kMr][2];
     for (; i0 + kMr <= hi; i0 += kMr) {
-      tile_accumulate(A + i0 * ars, ars, aps, B + j0, m, k, m0, m1, acc);
+      tile_accumulate(A + i0 * ars, ars, aps, B + j0, m, k, m0, m1, acc, kMr);
       for (std::size_t r = 0; r < kMr; ++r) epi.put(i0 + r, j0, jw, m0, m1, acc[r][0], acc[r][1]);
     }
-    for (; i0 < hi; ++i0) {
-      __m512 al, ah;
-      row_accumulate(A + i0 * ars, aps, B + j0, m, k, m0, m1, al, ah);
-      epi.put(i0, j0, jw, m0, m1, al, ah);
+    // Row tail: one partial tile, so a 5-row tail runs five independent
+    // chains side by side instead of five latency-bound single rows.
+    if (i0 < hi) {
+      const std::size_t live = hi - i0;
+      tile_accumulate(A + i0 * ars, ars, aps, B + j0, m, k, m0, m1, acc, live);
+      for (std::size_t r = 0; r < live; ++r) epi.put(i0 + r, j0, jw, m0, m1, acc[r][0], acc[r][1]);
     }
   }
 }
@@ -410,86 +400,6 @@ void column_sums_f(const float* m, float* out, std::size_t rows, std::size_t col
   }
 }
 
-// One register tile of the fused layer: `live` (1..kMr) rows of x against
-// kPanels (1 or 2) packed panels, kMr x kPanels accumulators. Each row's
-// lanes take the same q-ascending FMA chain whatever the tile height, so
-// a full tile, a partial one and a single row give identical bits. Tile
-// rows at or past `live` re-read the last live row (keeping every load
-// inside the band) and are never stored.
-template <std::size_t kPanels>
-inline void dense_tile(const float* x, std::size_t k, std::size_t live,
-                       const float* const B[kPanels], const __m512 biasv[kPanels],
-                       const __mmask16 msk[kPanels], const std::size_t jn[kPanels],
-                       Activation act, float* y, std::size_t n) {
-  std::size_t row_off[kMr];
-  for (std::size_t r = 0; r < kMr; ++r) row_off[r] = std::min(r, live - 1) * k;
-  __m512 acc[kMr][kPanels];
-  for (std::size_t r = 0; r < kMr; ++r) {
-    for (std::size_t c = 0; c < kPanels; ++c) acc[r][c] = _mm512_setzero_ps();
-  }
-  for (std::size_t q = 0; q < k; ++q) {
-    __m512 b[kPanels];
-    for (std::size_t c = 0; c < kPanels; ++c) b[c] = _mm512_loadu_ps(B[c] + q * kPanelWidth);
-    for (std::size_t r = 0; r < kMr; ++r) {
-      const __m512 xv = _mm512_set1_ps(x[row_off[r] + q]);
-      for (std::size_t c = 0; c < kPanels; ++c) {
-        acc[r][c] = _mm512_fmadd_ps(xv, b[c], acc[r][c]);
-      }
-    }
-  }
-  for (std::size_t r = 0; r < live; ++r) {
-    for (std::size_t c = 0; c < kPanels; ++c) {
-      act_store(act, _mm512_add_ps(acc[r][c], biasv[c]), y + r * n + c * kPanelWidth, nullptr,
-                msk[c], jn[c]);
-    }
-  }
-}
-
-// Rows [lo, hi) against panels [p, p + kPanels): full kMr-row tiles, then
-// the row tail as one partial tile.
-template <std::size_t kPanels>
-inline void dense_panels(const float* x, const PackedWeights& w, const float* bias,
-                         Activation act, float* y, std::size_t lo, std::size_t hi,
-                         std::size_t p) {
-  const std::size_t k = w.rows();
-  const std::size_t n = w.cols();
-  const std::size_t j0 = p * kPanelWidth;
-  const float* B[kPanels];
-  __m512 biasv[kPanels];
-  __mmask16 msk[kPanels];
-  std::size_t jn[kPanels];
-  for (std::size_t c = 0; c < kPanels; ++c) {
-    // Panel data is zero-padded, so weight loads are always full zmm; only
-    // the bias load and the y stores of a ragged last panel need a mask.
-    const std::size_t jc = j0 + c * kPanelWidth;
-    jn[c] = std::min(kPanelWidth, n - jc);
-    msk[c] = mask_for(jn[c]);
-    B[c] = w.panel(p + c);
-    biasv[c] = _mm512_maskz_loadu_ps(msk[c], bias + jc);
-  }
-  std::size_t i = lo;
-  for (; i + kMr <= hi; i += kMr) {
-    dense_tile<kPanels>(x + i * k, k, kMr, B, biasv, msk, jn, act, y + i * n + j0, n);
-  }
-  if (i < hi) {
-    dense_tile<kPanels>(x + i * k, k, hi - i, B, biasv, msk, jn, act, y + i * n + j0, n);
-  }
-}
-
-void dense_bias_act_f(const float* x, const PackedWeights& w, const float* bias,
-                      Activation act, float* y, std::size_t lo, std::size_t hi) {
-  GPUFREQ_HOT("gpufreq::nn::kernels::(anonymous namespace)::dense_bias_act_f");
-  const std::size_t panels = w.panel_count();
-  std::size_t p = 0;
-  // Panel pairs: a 32-wide column tile, each broadcast of x feeding both
-  // panels' FMA chains.
-  for (; p + 2 <= panels; p += 2) dense_panels<2>(x, w, bias, act, y, lo, hi, p);
-  // Odd final panel (e.g. the 64 -> 1 output layer): the same 8-row tile
-  // on one panel, so eight independent FMA chains hide the FMA latency
-  // that a row-at-a-time k-deep chain would expose.
-  if (p < panels) dense_panels<1>(x, w, bias, act, y, lo, hi, p);
-}
-
 }  // namespace
 
 namespace detail {
@@ -497,7 +407,7 @@ namespace detail {
 const KernelTable* avx512_table() {
   static const KernelTable table = {
       "avx512",      gemm_row_band_f, gemm_tn_band_f,       transpose_f,
-      column_sums_f, activate_f,      dense_forward_band_f, dense_bias_act_f,
+      column_sums_f, activate_f,      dense_forward_band_f,
   };
   return &table;
 }

@@ -1,6 +1,6 @@
 // Portable reference backend: the register-tiled kernels the nn stack
 // shipped with before runtime dispatch existed, plus the fused
-// dense_bias_act inference kernel. No intrinsics — the explicit
+// dense_forward_band layer kernel. No intrinsics — the explicit
 // GCC/Clang vector extensions below compile on any target (lowered to
 // whatever the build's -m flags allow) and the fallback path is plain
 // C++. Accumulation order is ascending in the inner dimension in every
@@ -9,7 +9,6 @@
 // multiply-add, so a compiler-vectorized loop's vector body and scalar
 // tail, the register tile and the row tail all round alike, and a row's
 // bits do not depend on where it sits in a band or on -march.
-#include <algorithm>
 
 #include "gpufreq/nn/kernels/kernel_table.hpp"
 #include "gpufreq/util/hot_path.hpp"
@@ -24,7 +23,6 @@ namespace {
 // traffic drops by kMr and C is written exactly once.
 constexpr std::size_t kMr = 6;
 constexpr std::size_t kNr = 16;
-static_assert(kNr == kPanelWidth, "packed panels must match the GEMM tile width");
 
 #if defined(__GNUC__) || defined(__clang__)
 // Explicit vector lanes: GCC 12's auto-vectorizer keeps the accumulator
@@ -42,17 +40,14 @@ inline v8sf load8(const float* p) {
 }
 
 // Accumulate the kMr x kNr tile into `acc` (row-major kMr x kNr floats),
-// every accumulator row starting at the `init16` lanes: zeros for a plain
-// product, the bias for the fused layer (z = bias + sum(a*b) then costs
-// nothing extra, and no separate bias pass is needed). Element
-// (r, p) of the A operand sits at a[r * ars + p * aps]: (lda, 1) reads A
-// itself, (1, lda) reads A^T, so C = A*B and C = A^T*B share this tile.
+// every accumulator starting from zero. Element (r, p) of the A operand
+// sits at a[r * ars + p * aps]: (lda, 1) reads A itself, (1, lda) reads
+// A^T, so C = A*B and C = A^T*B share this tile.
 inline void tile_accumulate(const float* a, std::size_t ars, std::size_t aps, const float* b,
-                            std::size_t ldb, std::size_t k, const float* init16, float* acc) {
-  const v8sf i0 = load8(init16);
-  const v8sf i1 = load8(init16 + 8);
-  v8sf a0l = i0, a0h = i1, a1l = i0, a1h = i1, a2l = i0, a2h = i1;
-  v8sf a3l = i0, a3h = i1, a4l = i0, a4h = i1, a5l = i0, a5h = i1;
+                            std::size_t ldb, std::size_t k, float* acc) {
+  const v8sf z = {};
+  v8sf a0l = z, a0h = z, a1l = z, a1h = z, a2l = z, a2h = z;
+  v8sf a3l = z, a3h = z, a4l = z, a4h = z, a5l = z, a5h = z;
   for (std::size_t p = 0; p < k; ++p) {
     const v8sf bl = load8(b + p * ldb);
     const v8sf bh = load8(b + p * ldb + 8);
@@ -71,10 +66,8 @@ inline void tile_accumulate(const float* a, std::size_t ars, std::size_t aps, co
 }
 #else
 inline void tile_accumulate(const float* a, std::size_t ars, std::size_t aps, const float* b,
-                            std::size_t ldb, std::size_t k, const float* init16, float* acc) {
-  for (std::size_t r = 0; r < kMr; ++r) {
-    for (std::size_t j = 0; j < kNr; ++j) acc[r * kNr + j] = init16[j];
-  }
+                            std::size_t ldb, std::size_t k, float* acc) {
+  for (std::size_t i = 0; i < kMr * kNr; ++i) acc[i] = 0.0f;
   for (std::size_t p = 0; p < k; ++p) {
     const float* bp = b + p * ldb;
     for (std::size_t r = 0; r < kMr; ++r) {
@@ -84,8 +77,6 @@ inline void tile_accumulate(const float* a, std::size_t ars, std::size_t aps, co
   }
 }
 #endif
-
-constexpr float kZeros[kNr] = {};
 
 // i-p-j fallback for row/column tails (contiguous B access), same A
 // addressing and p-ascending order as the tile.
@@ -105,15 +96,38 @@ inline void tail_rows(const float* a, std::size_t ars, std::size_t aps, const fl
   }
 }
 
+// A one-column product (an output layer's forward and weight gradient),
+// for which the i-p-j tail would run one latency-bound chain per row:
+// kMr rows' chains run side by side in registers instead, each the same
+// p-ascending sum from zero. A partial block re-reads its last live row
+// in the spare chains and stores only the live ones.
+inline void column_rows(const float* a, std::size_t ars, std::size_t aps, const float* b,
+                        float* c, std::size_t k, std::size_t lo, std::size_t hi) {
+  for (std::size_t i0 = lo; i0 < hi; i0 += kMr) {
+    const std::size_t live = hi - i0 < kMr ? hi - i0 : kMr;
+    const float* ar[kMr];
+    for (std::size_t r = 0; r < kMr; ++r) ar[r] = a + (i0 + (r < live ? r : live - 1)) * ars;
+    float acc[kMr] = {};
+    for (std::size_t p = 0; p < k; ++p) {
+      for (std::size_t r = 0; r < kMr; ++r) acc[r] += ar[r][p * aps] * b[p];
+    }
+    for (std::size_t r = 0; r < live; ++r) c[i0 + r] = acc[r];
+  }
+}
+
 // C rows [lo, hi) of C = op(A) * B with op(A)(i, p) = A[i * ars + p * aps],
 // inner dimension k, B: k x m, C overwritten.
 void gemm_band(const float* A, std::size_t ars, std::size_t aps, const float* B, float* C,
                std::size_t k, std::size_t m, std::size_t lo, std::size_t hi) {
+  if (m == 1) {
+    column_rows(A, ars, aps, B, C, k, lo, hi);
+    return;
+  }
   float acc[kMr * kNr];
   for (std::size_t j0 = 0; j0 + kNr <= m; j0 += kNr) {
     std::size_t i0 = lo;
     for (; i0 + kMr <= hi; i0 += kMr) {
-      tile_accumulate(A + i0 * ars, ars, aps, B + j0, m, k, kZeros, acc);
+      tile_accumulate(A + i0 * ars, ars, aps, B + j0, m, k, acc);
       for (std::size_t r = 0; r < kMr; ++r) {
         for (std::size_t j = 0; j < kNr; ++j) C[(i0 + r) * m + j0 + j] = acc[r * kNr + j];
       }
@@ -182,64 +196,17 @@ void dense_forward_band_f(const float* x, const float* w, const float* bias, Act
                           float* y, float* d, std::size_t k, std::size_t m, std::size_t lo,
                           std::size_t hi) {
   GPUFREQ_HOT("gpufreq::nn::kernels::(anonymous namespace)::dense_forward_band_f");
-  // Same band-level shape as dense_bias_act below: the tile writes z, then
-  // one pass adds the bias and one activates the finished band. The bias
-  // is added after the chain (not used as its start), as the unfused
-  // composition did, so z keeps gemm_row_band's bits.
+  // Band-level fusion: the tile writes z, then one pass adds the bias and
+  // one activates the finished band in a contiguous span, the loop shape
+  // the auto-vectorizer handles (a per-tile epilogue through the stack
+  // tile measured slower here). The bias is added after the chain, so z
+  // keeps gemm_row_band's bits.
   gemm_band(x, k, 1, w, y, k, m, lo, hi);
   for (std::size_t i = lo; i < hi; ++i) {
     float* yi = y + i * m;
     for (std::size_t j = 0; j < m; ++j) yi[j] += bias[j];
   }
   activate_f(act, y + lo * m, y + lo * m, d == nullptr ? nullptr : d + lo * m, (hi - lo) * m);
-}
-
-void dense_bias_act_f(const float* x, const PackedWeights& w, const float* bias,
-                      Activation act, float* y, std::size_t lo, std::size_t hi) {
-  GPUFREQ_HOT("gpufreq::nn::kernels::(anonymous namespace)::dense_bias_act_f");
-  // Band-level fusion. A per-tile epilogue (bias + activation on the 6x16
-  // accumulator block) was measured SLOWER than the unfused three-pass
-  // path here: the extra round trips through the stack tile eat more than
-  // the saved memory pass. What does win on this backend is (a) folding
-  // the bias into the accumulator *initialization* — the separate bias
-  // pass disappears at zero cost — and (b) activating the finished band in
-  // one contiguous span, the exact loop shape the auto-vectorizer already
-  // handles for whole-matrix activation. Net: two passes over y instead of
-  // the unfused path's three, and one fewer kernel launch.
-  const std::size_t k = w.rows();
-  const std::size_t n = w.cols();
-  for (std::size_t p = 0; p < w.panel_count(); ++p) {
-    const std::size_t j0 = p * kPanelWidth;
-    const std::size_t jn = std::min(kPanelWidth, n - j0);
-    const float* B = w.panel(p);
-    // Bias lanes for this panel, zero-padded like the packed weights so
-    // the tile kernel can read a full 16-wide vector on tail panels.
-    float bias16[kPanelWidth] = {};
-    for (std::size_t j = 0; j < jn; ++j) bias16[j] = bias[j0 + j];
-    std::size_t i = lo;
-    float acc[kMr * kNr];
-    for (; i + kMr <= hi; i += kMr) {
-      tile_accumulate(x + i * k, k, 1, B, kPanelWidth, k, bias16, acc);
-      for (std::size_t r = 0; r < kMr; ++r) {
-        float* yr = y + (i + r) * n + j0;
-        for (std::size_t j = 0; j < jn; ++j) yr[j] = acc[r * kNr + j];
-      }
-    }
-    // Row tail: same p-ascending accumulation, one row at a time.
-    for (; i < hi; ++i) {
-      for (std::size_t j = 0; j < kNr; ++j) acc[j] = bias16[j];
-      const float* xi = x + i * k;
-      for (std::size_t q = 0; q < k; ++q) {
-        const float xq = xi[q];
-        const float* bq = B + q * kPanelWidth;
-        for (std::size_t j = 0; j < kNr; ++j) acc[j] += xq * bq[j];
-      }
-      float* yr = y + i * n + j0;
-      for (std::size_t j = 0; j < jn; ++j) yr[j] = acc[j];
-    }
-  }
-  // One contiguous activation pass over the completed band.
-  activate_f(act, y + lo * n, y + lo * n, nullptr, (hi - lo) * n);
 }
 
 }  // namespace
@@ -249,7 +216,7 @@ namespace detail {
 const KernelTable& scalar_table() {
   static const KernelTable table = {
       "scalar",      gemm_row_band_f, gemm_tn_band_f,       transpose_f,
-      column_sums_f, activate_f,      dense_forward_band_f, dense_bias_act_f,
+      column_sums_f, activate_f,      dense_forward_band_f,
   };
   return table;
 }

@@ -17,7 +17,6 @@ void DenseLayer::init_lecun_normal(Rng& rng) {
   const float stddev = lecun_normal_stddev(w_.rows());
   for (float& v : w_.flat()) v = static_cast<float>(rng.normal(0.0, stddev));
   for (float& v : b_) v = 0.0f;
-  packed_.clear();
 }
 
 void DenseLayer::register_params(Optimizer& opt) {
@@ -39,18 +38,11 @@ void DenseLayer::forward(const Matrix& x, Matrix& out) {
 
 void DenseLayer::forward_rows(const float* x, float* y, std::size_t rows) const {
   GPUFREQ_HOT("gpufreq::nn::DenseLayer::forward_rows");
-  const kernels::KernelTable& kt = kernels::active();
-  if (packed_.empty()) {
-    kt.dense_forward_band(x, w_.flat().data(), b_.data(), act_, y, nullptr, w_.rows(), w_.cols(),
-                          0, rows);
-  } else {
-    kt.dense_bias_act(x, packed_, b_.data(), act_, y, 0, rows);
-  }
+  kernels::active().dense_forward_band(x, w_.flat().data(), b_.data(), act_, y, nullptr,
+                                       w_.rows(), w_.cols(), 0, rows);
   const std::span<const float> out(y, rows * w_.cols());
   GPUFREQ_DCHECK_FINITE(out);
 }
-
-void DenseLayer::prepare_inference() { packed_.pack(w_); }
 
 void DenseLayer::backward(const Matrix& delta, Matrix* dx) {
   GPUFREQ_REQUIRE(cached_x_ != nullptr, "DenseLayer::backward: forward not called");
@@ -88,7 +80,6 @@ void DenseLayer::apply_gradients(Optimizer& opt) {
                   "DenseLayer: register_params was not called");
   opt.update(slot_w_, w_.flat(), grad_w_.flat());
   opt.update(slot_b_, b_, grad_b_);
-  packed_.clear();
 }
 
 }  // namespace gpufreq::nn

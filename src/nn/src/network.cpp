@@ -1,6 +1,7 @@
 #include "gpufreq/nn/network.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "gpufreq/util/error.hpp"
 #include "gpufreq/util/hot_path.hpp"
@@ -20,6 +21,14 @@ Network::Network(std::size_t input_dim, const std::vector<LayerSpec>& layers,
     layers_.emplace_back(in, spec.units, spec.activation);
     layers_.back().init_lecun_normal(rng);
     in = spec.units;
+  }
+}
+
+Network::Network(std::vector<DenseLayer> layers) : layers_(std::move(layers)) {
+  GPUFREQ_REQUIRE(!layers_.empty(), "Network: at least one layer required");
+  for (std::size_t i = 1; i < layers_.size(); ++i) {
+    GPUFREQ_REQUIRE(layers_[i].in_dim() == layers_[i - 1].out_dim(),
+                    "Network: layer input width must equal the previous layer's output width");
   }
 }
 
@@ -118,17 +127,6 @@ void Network::predict_vector_into(const Matrix& x, InferenceWorkspace& ws,
 void Network::reserve_workspace(InferenceWorkspace& ws, std::size_t max_rows) const {
   ws.out_.reserve(max_rows, output_dim());
   ws.tiles_.reserve(max_rows, 2 * hidden_width(layers_));
-}
-
-void Network::prepare_inference() {
-  for (auto& l : layers_) l.prepare_inference();
-}
-
-bool Network::inference_prepared() const {
-  for (const auto& l : layers_) {
-    if (!l.inference_prepared()) return false;
-  }
-  return !layers_.empty();
 }
 
 void Network::bind_optimizer(Optimizer& opt) {

@@ -5,6 +5,8 @@
 #include <fstream>
 #include <istream>
 #include <ostream>
+#include <span>
+#include <utility>
 
 #include "gpufreq/util/error.hpp"
 
@@ -40,6 +42,16 @@ std::vector<double> read_doubles(std::istream& is) {
   is.read(reinterpret_cast<char*>(v.data()), static_cast<std::streamsize>(n * sizeof(double)));
   if (!is) throw ParseError("model: truncated stream");
   return v;
+}
+
+// Read a weight or bias payload straight into the layer's storage.
+void read_finite_floats(std::istream& is, std::span<float> dst, const char* non_finite) {
+  is.read(reinterpret_cast<char*>(dst.data()),
+          static_cast<std::streamsize>(dst.size() * sizeof(float)));
+  if (!is) throw ParseError("model: truncated weights");
+  for (float v : dst) {
+    if (!std::isfinite(v)) throw ParseError(non_finite);
+  }
 }
 
 void write_scaler(std::ostream& os, const StandardScaler& s) {
@@ -97,42 +109,21 @@ ModelBundle load_model(std::istream& is) {
     throw ParseError("model: implausible architecture");
   }
 
-  std::vector<LayerSpec> specs;
-  std::vector<std::pair<std::vector<float>, std::vector<float>>> params;
+  std::vector<DenseLayer> layers;
+  layers.reserve(n_layers);
   std::size_t in = input_dim;
   for (std::size_t i = 0; i < n_layers; ++i) {
     const auto units = static_cast<std::size_t>(read_pod<std::uint64_t>(is));
     const auto act = static_cast<Activation>(read_pod<std::uint32_t>(is));
     if (units == 0 || units > (1u << 20)) throw ParseError("model: implausible layer width");
-    specs.push_back({units, act});
-    std::vector<float> w(in * units);
-    std::vector<float> b(units);
-    is.read(reinterpret_cast<char*>(w.data()),
-            static_cast<std::streamsize>(w.size() * sizeof(float)));
-    is.read(reinterpret_cast<char*>(b.data()),
-            static_cast<std::streamsize>(b.size() * sizeof(float)));
-    if (!is) throw ParseError("model: truncated weights");
-    for (float v : w) {
-      if (!std::isfinite(v)) throw ParseError("model: non-finite weight payload");
-    }
-    for (float v : b) {
-      if (!std::isfinite(v)) throw ParseError("model: non-finite bias payload");
-    }
-    params.emplace_back(std::move(w), std::move(b));
+    DenseLayer& layer = layers.emplace_back(in, units, act);
+    read_finite_floats(is, layer.weights().flat(), "model: non-finite weight payload");
+    read_finite_floats(is, layer.bias(), "model: non-finite bias payload");
     in = units;
   }
 
   ModelBundle bundle;
-  bundle.network = Network(input_dim, specs, /*seed=*/0);
-  for (std::size_t i = 0; i < n_layers; ++i) {
-    DenseLayer& l = bundle.network.layer(i);
-    auto w = l.weights().flat();
-    std::copy(params[i].first.begin(), params[i].first.end(), w.begin());
-    l.bias() = params[i].second;
-  }
-  // Loaded models go straight to inference: pack for the fused kernel now,
-  // while no other thread can see the network.
-  bundle.network.prepare_inference();
+  bundle.network = Network(std::move(layers));
   bundle.input_scaler = read_scaler(is);
   bundle.target_scaler = read_scaler(is);
   return bundle;

@@ -77,7 +77,6 @@ PowerTimeModels make_models() {
 
 TEST(InferenceSweep, NetworkPredictIntoMatchesPredict) {
   nn::Network net(3, nn::Network::paper_architecture(), 77);
-  net.prepare_inference();
   const nn::Matrix x = random_features(61, 5);
   const nn::Matrix y = net.predict(x);
   nn::InferenceWorkspace ws;
@@ -95,7 +94,6 @@ TEST(InferenceSweep, NetworkPredictIntoMatchesPredict) {
 
 TEST(InferenceSweep, PredictVectorIntoMatchesPredictVector) {
   nn::Network net(3, nn::Network::paper_architecture(), 13);
-  net.prepare_inference();
   const nn::Matrix x = random_features(19, 3);
   const std::vector<double> a = net.predict_vector(x);
   std::vector<double> b(x.rows());
@@ -146,19 +144,6 @@ TEST(InferenceSweep, PredictSweepMatchesPredictFromFeatures) {
   }
 }
 
-TEST(InferenceSweep, TrainingInvalidatesPack) {
-  nn::Network net(3, nn::Network::paper_architecture(), 31);
-  net.prepare_inference();
-  ASSERT_TRUE(net.inference_prepared());
-  auto opt = nn::make_optimizer("sgd", 1e-3);
-  net.bind_optimizer(*opt);
-  const nn::Matrix x = random_features(8, 41);
-  nn::Matrix y(8, 1);
-  for (float& v : y.flat()) v = 0.5f;
-  (void)net.train_step(x, y, nn::Loss::kMse, *opt);
-  EXPECT_FALSE(net.inference_prepared());
-}
-
 TEST(InferenceSweep, SteadyStateSweepIsAllocationFree) {
   const PowerTimeModels models = make_models();
   const OnlinePredictor predictor(models);
@@ -170,7 +155,7 @@ TEST(InferenceSweep, SteadyStateSweepIsAllocationFree) {
 
   SweepWorkspace ws;
   // Warm up: first calls grow the workspace buffers (and spin up the
-  // thread pool / packed weights if not already live).
+  // thread pool if not already live).
   for (int i = 0; i < 3; ++i) {
     predictor.predict_sweep(acq.mean_counters, acq.exec_time_s, gpu.spec(), freqs, ws);
   }

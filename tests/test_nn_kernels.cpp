@@ -1,5 +1,5 @@
-// Kernel-backend tests: dispatch selection, weight packing, scalar-vs-AVX2
-// parity over awkward shapes, fused-vs-unfused agreement, NaN semantics of
+// Kernel-backend tests: dispatch selection, scalar-vs-SIMD parity over
+// awkward shapes, fused-vs-unfused agreement, NaN semantics of
 // the fused epilogue, and the per-backend serial==parallel bitwise
 // determinism contract. NaN tests call the kernel tables directly so the
 // sanitizer lanes' GPUFREQ_DCHECK_FINITE layer checks stay out of the way.
@@ -69,12 +69,12 @@ std::vector<float> unfused_reference(const KernelTable& kt, const Matrix& x, con
   return z;
 }
 
+// The inference form of the fused layer: y only (d = nullptr).
 std::vector<float> fused(const KernelTable& kt, const Matrix& x, const Matrix& w,
                          const std::vector<float>& bias, Activation act) {
-  PackedWeights packed;
-  packed.pack(w);
   std::vector<float> y(x.rows() * w.cols());
-  kt.dense_bias_act(x.flat().data(), packed, bias.data(), act, y.data(), 0, x.rows());
+  kt.dense_forward_band(x.flat().data(), w.flat().data(), bias.data(), act, y.data(), nullptr,
+                        w.rows(), w.cols(), 0, x.rows());
   return y;
 }
 
@@ -203,42 +203,6 @@ TEST(KernelDispatch, Avx512RequestMatchesAvailability) {
   }
 }
 
-TEST(KernelPacking, PanelLayoutAndZeroPadding) {
-  const Matrix w = random_matrix(3, 5, 99);
-  PackedWeights packed;
-  packed.pack(w);
-  EXPECT_FALSE(packed.empty());
-  EXPECT_EQ(packed.rows(), 3u);
-  EXPECT_EQ(packed.cols(), 5u);
-  ASSERT_EQ(packed.panel_count(), 1u);
-  const float* p0 = packed.panel(0);
-  for (std::size_t q = 0; q < 3; ++q) {
-    for (std::size_t j = 0; j < kPanelWidth; ++j) {
-      EXPECT_EQ(p0[q * kPanelWidth + j], j < 5 ? w(q, j) : 0.0f);
-    }
-  }
-}
-
-TEST(KernelPacking, MultiPanelAndRepack) {
-  const Matrix w = random_matrix(2, 17, 5);
-  PackedWeights packed;
-  packed.pack(w);
-  ASSERT_EQ(packed.panel_count(), 2u);
-  EXPECT_EQ(packed.panel(1)[0 * kPanelWidth + 0], w(0, 16));
-  EXPECT_EQ(packed.panel(1)[1 * kPanelWidth + 0], w(1, 16));
-  for (std::size_t j = 1; j < kPanelWidth; ++j) {
-    EXPECT_EQ(packed.panel(1)[0 * kPanelWidth + j], 0.0f);
-  }
-  // Repacking a different shape reuses the object.
-  const Matrix w2 = random_matrix(4, 3, 6);
-  packed.pack(w2);
-  EXPECT_EQ(packed.rows(), 4u);
-  EXPECT_EQ(packed.cols(), 3u);
-  EXPECT_EQ(packed.panel_count(), 1u);
-  packed.clear();
-  EXPECT_TRUE(packed.empty());
-}
-
 // Scalar-vs-SIMD parity over every primitive and shape; shared by the
 // avx2 and avx512 suites.
 void check_simd_parity(const KernelTable& av) {
@@ -315,9 +279,9 @@ TEST(KernelParity, FusedMatchesUnfusedPerBackend) {
 }
 
 TEST(KernelParity, SinglePanelLayerTilesMatchScalar) {
-  // One-panel layers (n <= 16) such as the 64 -> 1 output layer run the
-  // 8-row register tile on avx512; 13 and 21 rows add a ragged partial
-  // tile after the full ones.
+  // Narrow layers (n <= 16 columns): the 64 -> 1 output layer runs one C
+  // row per lane on the SIMD backends, n = 5 the masked column tile; 13
+  // and 21 rows add a partial row tile after the full ones.
   const KernelTable& sc = detail::scalar_table();
   const Shape shapes[] = {{8, 64, 1}, {13, 64, 1}, {21, 64, 5}, {13, 7, 5}, {3, 64, 1}};
   for (const KernelTable* kt : all_available_tables()) {
@@ -348,14 +312,12 @@ TEST(KernelDeterminism, FusedLayerIsRowLocalBitwise) {
       const Matrix x = random_matrix(rows, k, 103 + n);
       const Matrix w = random_matrix(k, n, 107 + n);
       const std::vector<float> bias = random_vec(n, 109);
-      PackedWeights packed;
-      packed.pack(w);
       std::vector<float> whole(rows * n), split(rows * n);
-      kt->dense_bias_act(x.flat().data(), packed, bias.data(), Activation::kSelu, whole.data(),
-                         0, rows);
+      kt->dense_forward_band(x.flat().data(), w.flat().data(), bias.data(), Activation::kSelu,
+                             whole.data(), nullptr, k, n, 0, rows);
       for (std::size_t i = 0; i < rows; ++i) {
-        kt->dense_bias_act(x.flat().data() + i * k, packed, bias.data(), Activation::kSelu,
-                           split.data() + i * n, 0, 1);
+        kt->dense_forward_band(x.flat().data() + i * k, w.flat().data(), bias.data(),
+                               Activation::kSelu, split.data() + i * n, nullptr, k, n, 0, 1);
       }
       for (std::size_t i = 0; i < whole.size(); ++i) {
         EXPECT_EQ(whole[i], split[i]) << "at index " << i;
@@ -745,7 +707,6 @@ TEST(KernelDeterminism, SerialEqualsParallelBitwisePerBackend) {
   if (avx2_available()) backends.push_back(Backend::kAvx2);
   if (avx512_available()) backends.push_back(Backend::kAvx512);
   Network net(3, Network::paper_architecture(), /*seed=*/321);
-  net.prepare_inference();
   Rng rng(9);
   Matrix x(61, 3);
   for (float& v : x.flat()) v = static_cast<float>(rng.uniform(-2.0, 2.0));

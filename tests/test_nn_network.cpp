@@ -49,6 +49,27 @@ TEST(Network, ConstructionValidation) {
   EXPECT_THROW(Network(3, {{0, Activation::kRelu}}, 1), InvalidArgument);
 }
 
+TEST(Network, LayersConstructorChecksTheWidthChain) {
+  EXPECT_THROW(Network(std::vector<DenseLayer>{}), InvalidArgument);
+  std::vector<DenseLayer> broken;
+  broken.emplace_back(3, 8, Activation::kSelu);
+  broken.emplace_back(7, 1, Activation::kLinear);
+  EXPECT_THROW(Network(std::move(broken)), InvalidArgument);
+
+  // The layers keep the weights they were built with: no init draws.
+  std::vector<DenseLayer> layers;
+  layers.emplace_back(3, 8, Activation::kSelu);
+  layers.emplace_back(8, 1, Activation::kLinear);
+  layers[0].weights()(2, 5) = 0.75f;
+  layers[1].bias()[0] = -0.5f;
+  const Network net(std::move(layers));
+  EXPECT_EQ(net.input_dim(), 3u);
+  EXPECT_EQ(net.output_dim(), 1u);
+  EXPECT_EQ(net.layer(0).weights()(2, 5), 0.75f);
+  EXPECT_EQ(net.layer(0).weights()(0, 0), 0.0f);
+  EXPECT_EQ(net.layer(1).bias()[0], -0.5f);
+}
+
 TEST(Network, PredictShapeAndDeterminism) {
   const Network net(3, Network::paper_architecture(), 7);
   Rng rng(3);
@@ -167,18 +188,16 @@ TEST(Network, TrainStepRejectsMismatchedBatch) {
 }
 
 // Layer-by-layer reference for the chunk-major forward: every layer runs
-// the backend's fused kernel over the whole batch in one call, with weights
-// packed here from the layer's own matrix.
+// the backend's dense_forward_band over the whole batch in one call.
 Matrix layer_by_layer(const Network& net, const Matrix& x, const kernels::KernelTable& kt) {
   Matrix cur = x;
   for (std::size_t i = 0; i < net.num_layers(); ++i) {
     const DenseLayer& l = net.layer(i);
     const std::size_t rows = cur.rows();
     Matrix out(rows, l.out_dim());
-    kernels::PackedWeights pw;
-    pw.pack(l.weights());
-    kt.dense_bias_act(cur.flat().data(), pw, l.bias().data(), l.activation(), out.flat().data(),
-                      0, rows);
+    kt.dense_forward_band(cur.flat().data(), l.weights().flat().data(), l.bias().data(),
+                          l.activation(), out.flat().data(), nullptr, l.in_dim(), l.out_dim(), 0,
+                          rows);
     cur = std::move(out);
   }
   return cur;
@@ -215,8 +234,7 @@ TEST(NetworkChunkMajor, MatchesLayerByLayerBitwise) {
   Network paper(3, Network::paper_architecture(), 41);
   Network ragged(7, {{33, Activation::kRelu}, {64, Activation::kTanh}, {17, Activation::kLinear}},
                  43);
-  for (Network* net : {&paper, &ragged}) {
-    net->prepare_inference();
+  for (const Network* net : {&paper, &ragged}) {
     Rng rng(net->input_dim());
     const Matrix big = make_inputs(7808, net->input_dim(), rng);
     for (kernels::Backend b : backends) {
@@ -240,11 +258,10 @@ TEST(NetworkChunkMajor, MatchesLayerByLayerBitwise) {
   }
 }
 
-TEST(NetworkChunkMajor, UnpreparedNetworkRunsUnfusedFallback) {
-  // Without packed weights every layer runs the training forward's kernel
-  // over the unpacked weights: bitwise gemm + bias + activation on the
-  // whole batch, the path evaluate() relies on. Even and odd layer counts
-  // both end in the returned matrix.
+TEST(NetworkChunkMajor, MatchesUnfusedComposition) {
+  // Every layer runs the training forward's kernel: bitwise gemm + bias +
+  // activation on the whole batch, the numbers evaluate() and training
+  // give. Even and odd layer counts both end in the returned matrix.
   Network even(3, Network::paper_architecture(), 47);
   Network odd(3, Network::paper_architecture(2), 53);
   for (const Network* net : {&even, &odd}) {
@@ -262,7 +279,6 @@ TEST(NetworkChunkMajor, UnpreparedNetworkRunsUnfusedFallback) {
       activate(l.activation(), z.flat(), z.flat());
       cur = std::move(z);
     }
-    ASSERT_FALSE(net->inference_prepared());
     InferenceWorkspace ws;
     const Matrix& y = net->predict_into(x, ws);
     ASSERT_EQ(y.rows(), 61u);
@@ -273,7 +289,6 @@ TEST(NetworkChunkMajor, UnpreparedNetworkRunsUnfusedFallback) {
 
 TEST(Network, PredictRejectsInputWidthMismatch) {
   Network net(3, Network::paper_architecture(), 5);
-  net.prepare_inference();
   EXPECT_THROW(net.predict(Matrix(4, 2)), InvalidArgument);
 }
 

@@ -1,16 +1,24 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <memory>
 #include <sstream>
+#include <utility>
 #include <vector>
 
+#include "gpufreq/core/models.hpp"
 #include "gpufreq/nn/kernels/dispatch.hpp"
 #include "gpufreq/nn/scaler.hpp"
 #include "gpufreq/nn/serialize.hpp"
 #include "gpufreq/nn/trainer.hpp"
+#include "gpufreq/serve/load_generator.hpp"
+#include "gpufreq/serve/sweep_service.hpp"
+#include "gpufreq/sim/gpu_spec.hpp"
 #include "gpufreq/util/error.hpp"
 #include "gpufreq/util/rng.hpp"
 #include "gpufreq/util/thread_pool.hpp"
@@ -252,18 +260,76 @@ ModelBundle make_bundle() {
   return b;
 }
 
-TEST(Serialize, RoundTripPreservesPredictions) {
-  const ModelBundle b = make_bundle();
+ModelBundle round_trip(const ModelBundle& b) {
   std::stringstream ss;
   save_model(b, ss);
-  const ModelBundle back = load_model(ss);
+  return load_model(ss);
+}
 
-  auto [x, y] = synth_regression(16, 9);
-  (void)y;
-  const Matrix p1 = b.network.predict(b.input_scaler.transform(x));
-  const Matrix p2 = back.network.predict(back.input_scaler.transform(x));
-  for (std::size_t i = 0; i < p1.rows(); ++i) EXPECT_FLOAT_EQ(p1(i, 0), p2(i, 0));
+std::vector<kernels::Backend> available_backends() {
+  std::vector<kernels::Backend> backends = {kernels::Backend::kScalar};
+  if (kernels::avx2_available()) backends.push_back(kernels::Backend::kAvx2);
+  if (kernels::avx512_available()) backends.push_back(kernels::Backend::kAvx512);
+  return backends;
+}
+
+// Bits of every curve a fresh SweepService publishes for `catalog` served
+// from `models` under the active kernel backend.
+std::vector<std::uint64_t> served_curve_bits(
+    const std::shared_ptr<const core::PowerTimeModels>& models, const sim::GpuSpec& spec,
+    const std::vector<serve::CatalogEntry>& catalog) {
+  const serve::ModelSnapshotHolder holder(models);
+  serve::SweepService service(holder, spec);
+  std::vector<serve::SweepTicket> tickets;
+  for (const serve::CatalogEntry& app : catalog) {
+    serve::SweepRequest r;
+    r.counters = app.counters;
+    r.measured_time_at_max_s = app.measured_time_at_max_s;
+    tickets.push_back(service.submit(std::move(r)));
+  }
+  service.drain_once();
+  std::vector<std::uint64_t> out;
+  for (const serve::SweepTicket& t : tickets) {
+    const serve::SweepOutcome& o = t.wait();
+    for (const std::vector<double>* curve : {&o.frequencies, &o.power_w, &o.time_s, &o.energy_j})
+      for (double v : *curve) out.push_back(std::bit_cast<std::uint64_t>(v));
+  }
+  return out;
+}
+
+TEST(Serialize, RoundTripPreservesPredictions) {
+  // A reloaded model is the model that was saved: on every backend it
+  // predicts the trained network's bits, and a service serving a reloaded
+  // paper-shaped power/time pair publishes the original pair's curves.
+  const ModelBundle b = make_bundle();
+  const ModelBundle back = round_trip(b);
   EXPECT_EQ(back.target_scaler.means(), b.target_scaler.means());
+
+  const auto saved = serve::fabricate_models(42);
+  auto reloaded = std::make_shared<core::PowerTimeModels>();
+  reloaded->features = saved->features;
+  reloaded->power.restore(round_trip(saved->power.bundle()), core::Target::kPower);
+  reloaded->time.restore(round_trip(saved->time.bundle()), core::Target::kTime);
+  const sim::GpuSpec spec = sim::GpuSpec::ga100();
+  const auto catalog = serve::make_catalog(6, spec, 7);
+
+  auto [x, y] = synth_regression(61, 9);
+  (void)y;
+  for (kernels::Backend backend : available_backends()) {
+    SCOPED_TRACE(kernels::to_string(backend));
+    kernels::set_kernel_backend(backend);
+    const Matrix p1 = b.network.predict(b.input_scaler.transform(x));
+    const Matrix p2 = back.network.predict(back.input_scaler.transform(x));
+    ASSERT_EQ(p1.rows(), p2.rows());
+    for (std::size_t i = 0; i < p1.rows(); ++i) {
+      EXPECT_EQ(std::bit_cast<std::uint32_t>(p1(i, 0)), std::bit_cast<std::uint32_t>(p2(i, 0)))
+          << "row " << i;
+    }
+    const std::vector<std::uint64_t> want = served_curve_bits(saved, spec, catalog);
+    ASSERT_EQ(want.size(), catalog.size() * 4 * spec.used_frequencies().size());
+    EXPECT_EQ(served_curve_bits(reloaded, spec, catalog), want);
+  }
+  kernels::set_kernel_backend(kernels::Backend::kAuto);
 }
 
 TEST(Serialize, RoundTripThroughFile) {

@@ -9,11 +9,13 @@
 #include <cstdlib>
 #include <new>
 #include <span>
+#include <sstream>
 #include <utility>
 #include <vector>
 
 #include "gpufreq/core/pipeline.hpp"
 #include "gpufreq/nn/network.hpp"
+#include "gpufreq/nn/serialize.hpp"
 #include "gpufreq/serve/load_generator.hpp"
 #include "gpufreq/serve/sweep_service.hpp"
 #include "gpufreq/sim/gpu_spec.hpp"
@@ -140,8 +142,7 @@ TEST(ServeAlloc, ChunkMajorForwardAllocatesOnlyInReserve) {
   // forward at a new high-water row count, and any smaller or equal one
   // after it, allocates nothing.
   const std::size_t kDrainRows = 128 * 61;
-  nn::Network net(3, nn::Network::paper_architecture(), 17);
-  net.prepare_inference();
+  const nn::Network net(3, nn::Network::paper_architecture(), 17);
   const nn::Matrix big(kDrainRows, 3, 0.25f);
   const nn::Matrix small(61, 3, 0.5f);
   {
@@ -248,6 +249,25 @@ TEST(ServeAlloc, SubmitAllocatesOnlyTheSlotAndItsOutcome) {
   ASSERT_EQ(service.drain_once(), 2u);
   EXPECT_EQ(a.wait().frequencies.size(), service.default_frequencies().size());
   EXPECT_EQ(b.wait().frequencies, (std::vector<double>{510.0, 900.0, 1410.0}));
+}
+
+TEST(ServeAlloc, LoadModelAllocatesOnlyTheLayersAndScalers) {
+  // nn::load_model reads each layer's weights and bias straight into the
+  // layer's own storage: one block for the layer list, a weight matrix
+  // and a bias vector per layer, and the means and scales of the two
+  // scalers. No init draws, staging copies or second weight layout.
+  constexpr std::size_t kPaperModelLoadAllocations = 1 + 4 * 2 + 2 * 2;
+  const auto models = fabricate_models(42);
+  std::ostringstream saved;
+  nn::save_model(models->power.bundle(), saved);
+  std::istringstream in(saved.str());
+  g_allocation_count.store(0);
+  g_count_allocations.store(true);
+  const nn::ModelBundle loaded = nn::load_model(in);
+  g_count_allocations.store(false);
+  EXPECT_EQ(g_allocation_count.load(), kPaperModelLoadAllocations);
+  ASSERT_EQ(loaded.network.num_layers(), 4u);
+  EXPECT_EQ(loaded.network.parameter_count(), 8641u);
 }
 
 TEST(ServeAlloc, CachedDrainHitsAndInsertsAreAllocationFree) {

@@ -179,6 +179,55 @@ TEST(SweepCache, RoundTripLruEvictionAndAliasing) {
   EXPECT_FALSE(probe_app(1).hit);
 }
 
+TEST(SweepCache, FreshCacheNeverHits) {
+  // A new cache leaves its slab unwritten; only the entries' valid flags
+  // stand between a probe and that memory. Every probe misses until the
+  // first insert, including an all-zero counter set at epoch 0 and
+  // context 0, the key a zero-filled entry would hold.
+  const sim::GpuSpec spec = sim::GpuSpec::ga100();
+  const auto catalog = make_catalog(4, spec, 7);
+  const std::vector<double> grid = {500.0, 700.0, 900.0};
+  const sim::CounterSet zeros{};
+  core::SweepCurveCache cache;  // default shape: rows up to 96
+  ASSERT_GT(cache.max_rows(), grid.size());
+  core::SweepCurveCache::Probe probe;
+  EXPECT_FALSE(cache.lookup(zeros, 0.0, grid, 0, 0, probe).hit);
+  ASSERT_TRUE(probe.cacheable);
+  EXPECT_FALSE(cache.lookup(zeros, 0.0, std::vector<double>{0.0}, 0, 0, probe).hit);
+  for (const CatalogEntry& app : catalog) {
+    EXPECT_FALSE(cache.lookup(app.counters, app.measured_time_at_max_s, grid, 0, 0, probe).hit);
+    EXPECT_FALSE(cache.lookup(app.counters, app.measured_time_at_max_s, spec.used_frequencies(),
+                              0, 0, probe)
+                     .hit);
+  }
+  EXPECT_EQ(cache.stats().hits, 0u);
+  EXPECT_EQ(cache.stats().misses, 2 + 2 * catalog.size());
+
+  // A curve shorter than max_rows: the hit returns exactly its rows' bits.
+  const std::vector<double> freqs = {500.0, 700.0, 900.0};
+  const std::vector<double> power = {101.5, -0.0, 1e-300};
+  const std::vector<double> time = {2.25, 1.0 / 3.0, 7.0};
+  const std::vector<double> energy = {228.375, 0.0, 7e-300};
+  EXPECT_FALSE(cache.lookup(zeros, 0.0, grid, 0, 0, probe).hit);
+  cache.insert(probe, grid, freqs, power, time, energy);
+  const core::SweepCurveCache::LookupResult hit = cache.lookup(zeros, 0.0, grid, 0, 0, probe);
+  ASSERT_TRUE(hit.hit);
+  ASSERT_EQ(hit.frequencies.size(), grid.size());
+  ASSERT_EQ(hit.power_w.size(), grid.size());
+  ASSERT_EQ(hit.time_s.size(), grid.size());
+  ASSERT_EQ(hit.energy_j.size(), grid.size());
+  for (std::size_t r = 0; r < grid.size(); ++r) {
+    EXPECT_EQ(bits(hit.frequencies[r]), bits(freqs[r])) << "row " << r;
+    EXPECT_EQ(bits(hit.power_w[r]), bits(power[r])) << "row " << r;
+    EXPECT_EQ(bits(hit.time_s[r]), bits(time[r])) << "row " << r;
+    EXPECT_EQ(bits(hit.energy_j[r]), bits(energy[r])) << "row " << r;
+  }
+  for (const CatalogEntry& app : catalog) {
+    EXPECT_FALSE(cache.lookup(app.counters, app.measured_time_at_max_s, grid, 0, 0, probe).hit);
+  }
+  EXPECT_EQ(cache.stats().hits, 1u);
+}
+
 // ---------------------------------------------------------------------------
 // Service level
 // ---------------------------------------------------------------------------
