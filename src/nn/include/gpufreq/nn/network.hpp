@@ -17,15 +17,16 @@ struct LayerSpec {
 
 /// Reusable scratch for Network::predict_into, which runs chunk-major:
 /// each 48-row chunk of the batch passes through every layer before the
-/// next chunk starts. The chunk ping-pongs its hidden activations between
-/// two tiles inside its own disjoint region of `tiles_`; a chunk touches
-/// only its 2 x 48 x widest-hidden floats (small enough to stay in L1),
-/// but the buffer holds one such region per chunk, rows x 2 x
-/// widest-hidden floats in all (4 MB for a 7808-row drain of the paper
-/// model). The last layer writes straight into `out_`, the matrix
-/// predict_into returns. Capacity only grows, so steady-state inference
-/// performs no heap allocation. One workspace serves any number of
-/// networks; share one per thread, not across threads.
+/// chunk after it starts. The rows split into one contiguous band per
+/// pool thread (never more bands than chunks), each a whole number of
+/// chunks; a band walks its chunks in order, ping-ponging their hidden
+/// activations between the two 48-row tiles of its own region of
+/// `tiles_`. So the buffer holds bands x 2 x 48 x widest-hidden floats
+/// (24 KiB per band for the paper model, small enough to stay in L1)
+/// whatever the batch size. The last layer writes straight into `out_`,
+/// the matrix predict_into returns. Capacity only grows, so steady-state
+/// inference performs no heap allocation. One workspace serves any number
+/// of networks; share one per thread, not across threads.
 class InferenceWorkspace {
  public:
   InferenceWorkspace() = default;
@@ -33,7 +34,7 @@ class InferenceWorkspace {
  private:
   friend class Network;
   Matrix out_;    // result: rows x output_dim
-  Matrix tiles_;  // chunk-disjoint hidden-activation regions
+  Matrix tiles_;  // one hidden-activation region per band
 };
 
 /// Standard feedforward neural network (the paper's FNN, §4.3): a stack of
@@ -85,8 +86,9 @@ class Network {
                            std::span<double> out) const;
 
   /// Pre-grow `ws` for batches of up to `max_rows` rows through this
-  /// network, so a later predict_into at or below that batch size performs
-  /// no allocation even on its first call. Capacity only grows.
+  /// network at the current pool size, so a later predict_into at or below
+  /// that batch size performs no allocation even on its first call (a
+  /// larger pool needs more tile regions). Capacity only grows.
   void reserve_workspace(InferenceWorkspace& ws, std::size_t max_rows) const;
 
   /// One optimizer step on a mini-batch; returns the batch loss before the

@@ -62,6 +62,13 @@ InferenceWorkspace& fallback_workspace() {
 // the thread count.
 constexpr std::size_t kChunkRows = 48;
 
+std::size_t chunk_count(std::size_t rows) { return (rows + kChunkRows - 1) / kChunkRows; }
+
+// Bands the forward splits `rows` into: one per pool thread, but never
+// more than there are chunks. Each band owns one tile region, so this is
+// also the number of regions the workspace holds.
+std::size_t band_count(std::size_t rows) { return std::min(num_threads(), chunk_count(rows)); }
+
 // Widest hidden (non-final) layer: the row stride of one activation tile.
 std::size_t hidden_width(const std::vector<DenseLayer>& layers) {
   std::size_t width = 0;
@@ -80,8 +87,12 @@ const Matrix& Network::predict_into(const Matrix& x, InferenceWorkspace& ws) con
   GPUFREQ_REQUIRE(x.cols() == input_dim(), "Network::predict: input width mismatch");
   const std::size_t rows = x.rows();
   const std::size_t width = hidden_width(layers_);
+  const std::size_t chunks = chunk_count(rows);
+  const std::size_t bands = band_count(rows);
   ws.out_.resize_uninit(rows, output_dim());
-  if (ws.tiles_.size() < rows * 2 * width) ws.tiles_.resize_uninit(rows, 2 * width);
+  // One region of two 48-row tiles per band, however many rows there are.
+  const std::size_t region = 2 * kChunkRows * width;
+  if (ws.tiles_.size() < bands * region) ws.tiles_.resize_uninit(bands * 2 * kChunkRows, width);
 
   const std::size_t in_dim = input_dim();
   const std::size_t out_dim = output_dim();
@@ -89,19 +100,24 @@ const Matrix& Network::predict_into(const Matrix& x, InferenceWorkspace& ws) con
   const float* X = x.flat().data();
   float* Y = ws.out_.flat().data();
   float* tiles = ws.tiles_.flat().data();
-  // Depth-first: the chunk's activations stay in its L1-sized region from
-  // layer to layer instead of streaming a rows x width matrix through L2
-  // once per layer. Chunks start on fixed 48-row boundaries and the
-  // kernels are row-local, so each output element sees the same op
-  // sequence as a layer-by-layer pass over the whole batch.
-  parallel_for(0, rows, kChunkRows, [&](std::size_t lo, std::size_t hi) {
-    const std::size_t n = hi - lo;
-    float* const tile[2] = {tiles + lo * 2 * width, tiles + lo * 2 * width + n * width};
-    const float* in = X + lo * in_dim;
-    for (std::size_t i = 0; i <= last; ++i) {
-      float* out = i == last ? Y + lo * out_dim : tile[i & 1];
-      layers_[i].forward_rows(in, out, n);
-      in = out;
+  // Depth-first: each chunk's activations stay in its band's L1-sized
+  // region from layer to layer instead of streaming a rows x width matrix
+  // through L2 once per layer. Band b walks chunks [b*chunks/bands,
+  // (b+1)*chunks/bands) in order through region b. Chunks start on fixed
+  // 48-row boundaries and the kernels are row-local, so each output
+  // element sees the same op sequence as a layer-by-layer pass over the
+  // whole batch, whatever the band count.
+  parallel_for(0, bands, 1, [&](std::size_t band, std::size_t) {
+    float* const tile[2] = {tiles + band * region, tiles + band * region + kChunkRows * width};
+    const std::size_t end = std::min(rows, (band + 1) * chunks / bands * kChunkRows);
+    for (std::size_t lo = band * chunks / bands * kChunkRows; lo < end; lo += kChunkRows) {
+      const std::size_t n = std::min(kChunkRows, end - lo);
+      const float* in = X + lo * in_dim;
+      for (std::size_t i = 0; i <= last; ++i) {
+        float* out = i == last ? Y + lo * out_dim : tile[i & 1];
+        layers_[i].forward_rows(in, out, n);
+        in = out;
+      }
     }
   });
   return ws.out_;
@@ -126,7 +142,7 @@ void Network::predict_vector_into(const Matrix& x, InferenceWorkspace& ws,
 
 void Network::reserve_workspace(InferenceWorkspace& ws, std::size_t max_rows) const {
   ws.out_.reserve(max_rows, output_dim());
-  ws.tiles_.reserve(max_rows, 2 * hidden_width(layers_));
+  ws.tiles_.reserve(band_count(max_rows) * 2 * kChunkRows, hidden_width(layers_));
 }
 
 void Network::bind_optimizer(Optimizer& opt) {

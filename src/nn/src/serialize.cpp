@@ -114,8 +114,11 @@ ModelBundle load_model(std::istream& is) {
   std::size_t in = input_dim;
   for (std::size_t i = 0; i < n_layers; ++i) {
     const auto units = static_cast<std::size_t>(read_pod<std::uint64_t>(is));
-    const auto act = static_cast<Activation>(read_pod<std::uint32_t>(is));
+    const auto act_id = read_pod<std::uint32_t>(is);
     if (units == 0 || units > (1u << 20)) throw ParseError("model: implausible layer width");
+    if (act_id > static_cast<std::uint32_t>(Activation::kSoftsign))
+      throw ParseError("model: unknown activation");
+    const auto act = static_cast<Activation>(act_id);
     DenseLayer& layer = layers.emplace_back(in, units, act);
     read_finite_floats(is, layer.weights().flat(), "model: non-finite weight payload");
     read_finite_floats(is, layer.bias(), "model: non-finite bias payload");

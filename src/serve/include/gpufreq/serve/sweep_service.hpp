@@ -87,10 +87,16 @@ class SweepService {
   SweepService(const SweepService&) = delete;
   SweepService& operator=(const SweepService&) = delete;
 
+  /// Longest custom grid submit() accepts. A custom grid is the only part
+  /// of a request whose size the caller picks, so this bounds a drain's
+  /// per-request rows (GA100 supports 81 core clocks).
+  static constexpr std::size_t kMaxGridSize = 1024;
+
   /// Enqueue a request; returns immediately with a waitable ticket.
   /// Throws InvalidArgument, and enqueues nothing, unless all 12 counters
   /// and measured_time_at_max_s are finite, measured_time_at_max_s > 0,
-  /// and every entry of a custom grid is finite and > 0.
+  /// and a custom grid has at most kMaxGridSize entries, each finite, > 0
+  /// and within the spec's [core_min_mhz, core_max_mhz].
   SweepTicket submit(SweepRequest request) GPUFREQ_EXCLUDES(mutex_);
 
   /// Serve one batch synchronously on the calling thread. Returns the

@@ -92,9 +92,16 @@ SweepTicket SweepService::submit(SweepRequest request) {
   GPUFREQ_REQUIRE(valid_profile(request.counters, request.measured_time_at_max_s),
                   "SweepService: counters and measured time must be finite, and the measured "
                   "time positive");
+  GPUFREQ_REQUIRE(request.frequencies.size() <= kMaxGridSize,
+                  "SweepService: custom grid longer than kMaxGridSize");
+  // NaN fails every comparison and an infinity lies outside the range.
   GPUFREQ_REQUIRE(std::all_of(request.frequencies.begin(), request.frequencies.end(),
-                              [](double f) { return std::isfinite(f) && f > 0.0; }),
-                  "SweepService: grid frequencies must be finite and positive");
+                              [&](double f) {
+                                return f > 0.0 && f >= spec_.core_min_mhz &&
+                                       f <= spec_.core_max_mhz;
+                              }),
+                  "SweepService: grid frequencies must be positive and within the GPU's core "
+                  "clock range");
   auto slot = std::make_shared<detail::SweepSlot>();
   slot->descriptor = request.descriptor;
   (void)slot->descriptor.priority();  // validates the band range

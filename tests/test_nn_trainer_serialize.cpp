@@ -5,9 +5,11 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <memory>
 #include <sstream>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -372,6 +374,32 @@ TEST(Serialize, RejectsInfiniteBiasPayload) {
   std::stringstream ss;
   save_model(b, ss);
   EXPECT_THROW(load_model(ss), ParseError);
+}
+
+TEST(Serialize, ActivationIdsRoundTripAndUnknownIdsAreRejected) {
+  // The first layer's activation word sits after the magic, the version,
+  // the input width, the layer count and the layer's unit count.
+  constexpr std::size_t kFirstActivationOffset = 4 + 4 + 8 + 8 + 8;
+  const auto saved_with = [](Activation act) {
+    ModelBundle b;
+    b.network = Network(2, {{8, act}, {1, Activation::kLinear}}, 5);
+    std::stringstream ss;
+    save_model(b, ss);
+    return ss.str();
+  };
+  for (auto id = static_cast<std::uint32_t>(Activation::kLinear);
+       id <= static_cast<std::uint32_t>(Activation::kSoftsign); ++id) {
+    SCOPED_TRACE(id);
+    std::stringstream ss(saved_with(static_cast<Activation>(id)));
+    EXPECT_EQ(load_model(ss).network.layer(0).activation(), static_cast<Activation>(id));
+  }
+  for (const std::uint32_t bad : {9u, 99u}) {
+    SCOPED_TRACE(bad);
+    std::string bytes = saved_with(Activation::kSelu);
+    std::memcpy(bytes.data() + kFirstActivationOffset, &bad, sizeof(bad));
+    std::stringstream ss(bytes);
+    EXPECT_THROW(load_model(ss), ParseError);
+  }
 }
 
 }  // namespace

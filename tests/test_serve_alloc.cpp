@@ -2,7 +2,8 @@
 // counting global operator new (same instrument as test_inference_sweep):
 // a warmed predict_sweep_batch — and a warmed SweepService drain cycle,
 // locks, coalescing scan, result publication and all — must never touch
-// the heap in steady state.
+// the heap in steady state. The instrument also counts bytes, which pins
+// how much a workspace reserves and how much a first drain grows.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -19,15 +20,18 @@
 #include "gpufreq/serve/load_generator.hpp"
 #include "gpufreq/serve/sweep_service.hpp"
 #include "gpufreq/sim/gpu_spec.hpp"
+#include "gpufreq/util/thread_pool.hpp"
 
 namespace {
 
 std::atomic<bool> g_count_allocations{false};
 std::atomic<std::size_t> g_allocation_count{0};
+std::atomic<std::size_t> g_allocated_bytes{0};
 
 void* counted_alloc(std::size_t n) {
   if (g_count_allocations.load(std::memory_order_relaxed)) {
     g_allocation_count.fetch_add(1, std::memory_order_relaxed);
+    g_allocated_bytes.fetch_add(n, std::memory_order_relaxed);
   }
   void* p = std::malloc(n == 0 ? 1 : n);
   if (p == nullptr) throw std::bad_alloc();
@@ -164,6 +168,92 @@ TEST(ServeAlloc, ChunkMajorForwardAllocatesOnlyInReserve) {
   g_count_allocations.store(false);
   EXPECT_EQ(g_allocation_count.load(), 0u)
       << "a reserved chunk-major forward must not allocate at any row count";
+}
+
+struct CountedBytes {
+  std::size_t allocations;
+  std::size_t bytes;
+};
+
+template <typename Fn>
+CountedBytes count_bytes(Fn&& fn) {
+  g_allocation_count.store(0);
+  g_allocated_bytes.store(0);
+  g_count_allocations.store(true);
+  fn();
+  g_count_allocations.store(false);
+  return {g_allocation_count.load(), g_allocated_bytes.load()};
+}
+
+TEST(ServeAlloc, ReserveWorkspaceHoldsOneTileRegionPerBand) {
+  // The forward's scratch is bounded by the pool, not the batch: a
+  // reserve for a full drain allocates the rows x 1 output plus one
+  // 2 x 48 x 64 tile region per band (one band per pool thread), where
+  // a tile region per 48-row chunk used to cost rows x 128 floats.
+  constexpr std::size_t kDrainRows = 128 * 61;
+  constexpr std::size_t kRegionFloats = 2 * 48 * 64;
+  const nn::Network net(3, nn::Network::paper_architecture(), 17);
+  for (const std::size_t threads : {1u, 4u}) {
+    SCOPED_TRACE(::testing::Message() << "threads=" << threads);
+    set_num_threads(threads);
+    nn::InferenceWorkspace ws;
+    const CountedBytes reserved = count_bytes([&] { net.reserve_workspace(ws, kDrainRows); });
+    EXPECT_EQ(reserved.allocations, 2u);
+    EXPECT_EQ(reserved.bytes, (kDrainRows + threads * kRegionFloats) * sizeof(float));
+    const nn::Matrix x(kDrainRows, 3, 0.25f);
+    EXPECT_EQ(count_bytes([&] { (void)net.predict_into(x, ws); }).allocations, 0u);
+  }
+  set_num_threads(0);
+}
+
+TEST(ServeAlloc, FirstFullDrainOfAFreshServiceGrowsByItsRowsAndTileRegions) {
+  // A fresh service grows its shard workspaces on its first drain. For a
+  // full batch of 128 distinct default-grid requests (7808 rows) that is
+  // 76 bytes a row: the sorted grid and three curves (4 doubles), the
+  // shared feature matrix and each model's standardized copy (3 floats
+  // each), and the two model outputs (1 float each). On top come the
+  // per-item offsets and one 2 x 48 x 64 tile region per band, per model,
+  // per drain shard (one shard and one band per pool thread). With a tile
+  // region per 48-row chunk, the tiles alone were 8 MB.
+  constexpr std::size_t kRows = 128 * 61;
+  constexpr std::size_t kRowBytes = 4 * sizeof(double) + 3 * 3 * sizeof(float) + 2 * sizeof(float);
+  constexpr std::size_t kOffsetSlack = 2048;
+  constexpr std::size_t kRegionBytes = 2 * 48 * 64 * sizeof(float);
+  const auto models = fabricate_models(42);
+  const sim::GpuSpec spec = sim::GpuSpec::ga100();
+  ModelSnapshotHolder holder(models);
+  const auto catalog = make_catalog(4, spec, 7);
+  const std::size_t batch = ServiceConfig{}.max_batch;
+  const auto submit_all = [&](SweepService& service) {
+    for (std::size_t i = 0; i < batch; ++i) {
+      SweepRequest r;
+      r.descriptor = {.category = WorkloadCategory::kInteractive, .band = 1};
+      const CatalogEntry& app = catalog[i % catalog.size()];
+      r.counters = app.counters;
+      // Distinct t_max per request: no two requests share a cache key.
+      r.measured_time_at_max_s = app.measured_time_at_max_s * (1.0 + 1e-3 * static_cast<double>(i));
+      (void)service.submit(std::move(r));
+    }
+  };
+  for (const std::size_t threads : {1u, 4u}) {
+    SCOPED_TRACE(::testing::Message() << "threads=" << threads);
+    set_num_threads(threads);
+    {
+      SweepService warmup(holder, spec);  // process-wide lazy state only
+      submit_all(warmup);
+      ASSERT_EQ(warmup.drain_once(), batch);
+    }
+    SweepService service(holder, spec);
+    submit_all(service);
+    std::size_t served = 0;
+    const CountedBytes first = count_bytes([&] { served = service.drain_once(); });
+    ASSERT_EQ(served, batch);
+    EXPECT_EQ(service.stats().unique_items, batch);
+    const std::size_t tiles = threads * 2 * threads * kRegionBytes;
+    EXPECT_GE(first.bytes, kRows * kRowBytes + tiles);
+    EXPECT_LE(first.bytes, kRows * kRowBytes + tiles + kOffsetSlack);
+  }
+  set_num_threads(0);
 }
 
 TEST(ServeAlloc, SteadyStateServiceDrainIsAllocationFree) {

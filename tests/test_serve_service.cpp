@@ -364,6 +364,38 @@ TEST(ServeService, RejectsNonFiniteProfilesAndGridsAtSubmit) {
   EXPECT_EQ(service.stats().submitted, 0u);
 }
 
+TEST(ServeService, BoundsCustomGridsAtSubmit) {
+  // A custom grid must lie within the spec's core clock range and hold at
+  // most kMaxGridSize entries; a rejected request leaves no trace.
+  Fixture f;
+  SweepService service(f.holder, f.spec);
+  const double lo = f.spec.core_min_mhz;
+  const double hi = f.spec.core_max_mhz;
+  const auto with_grid = [&](std::vector<double> grid) {
+    SweepRequest r = f.request(0);
+    r.frequencies = std::move(grid);
+    return r;
+  };
+
+  const std::vector<double> at_cap(SweepService::kMaxGridSize, hi);
+  for (const std::vector<double>& grid :
+       {std::vector<double>{lo}, std::vector<double>{hi}, std::vector<double>{hi, 900.0, lo},
+        at_cap}) {
+    (void)service.submit(with_grid(grid));
+  }
+  EXPECT_EQ(service.pending(), 4u);
+  EXPECT_EQ(service.drain_once(), 4u);
+  const ServiceStats before = service.stats();
+
+  const std::vector<double> over_cap(SweepService::kMaxGridSize + 1, hi);
+  for (const std::vector<double>& grid : {std::vector<double>{900.0, lo - 1.0},
+                                          std::vector<double>{hi + 1.0, 900.0}, over_cap}) {
+    EXPECT_THROW(service.submit(with_grid(grid)), InvalidArgument);
+  }
+  EXPECT_EQ(service.pending(), 0u);
+  EXPECT_EQ(service.stats().submitted, before.submitted);
+}
+
 TEST(ServeService, PoisonedSubmitLeavesHealthyNeighborsServed) {
   // A NaN counter is refused at the door with a typed error, so the
   // healthy requests submitted before and after it share a batch and
